@@ -26,6 +26,7 @@ from .grid import (
     Grid,
     GridError,
     ScalarField,
+    check_ellipticity,
     identity_coefficients,
     lp_norm,
     random_elliptic_coefficients,
@@ -72,6 +73,13 @@ class NonConvergence(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _number(label: str, value, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{label}: not a number: {value!r}") from exc
+
+
 class ExperimentConfig:
     """Validated run configuration assembled from JSON plus overrides."""
 
@@ -83,15 +91,17 @@ class ExperimentConfig:
         self.coeff_spec = obj.get("coefficients", {"kind": "identity"})
         self.times_spec = obj.get("times")
         params = obj.get("params", {})
-        self.M = int(params.get("M", 1))
-        self.p = float(params.get("p", 2.0))
-        self.eps = float(params.get("eps", 1.0))
-        self.gamma = float(params.get("gamma", 0.5))
-        self.apertures = [float(a) for a in params.get("apertures", (1.0, 1.5, 2.0))]
+        self.M = _number("params.M", params.get("M", 1), int)
+        self.p = _number("params.p", params.get("p", 2.0))
+        self.eps = _number("params.eps", params.get("eps", 1.0))
+        self.gamma = _number("params.gamma", params.get("gamma", 0.5))
+        self.apertures = [
+            _number("params.apertures", a) for a in params.get("apertures", (1.0, 1.5, 2.0))
+        ]
         corpus = obj.get("corpus", {})
         self.corpus_kind = str(corpus.get("kind", "standard"))
-        self.corpus_count = int(corpus.get("count", 20))
-        self.corpus_seed = int(corpus.get("seed", 7))
+        self.corpus_count = _number("corpus.count", corpus.get("count", 20), int)
+        self.corpus_seed = _number("corpus.seed", corpus.get("seed", 7), int)
         if overrides.seed is not None:
             self.corpus_seed = int(overrides.seed)
         self.out = Path(overrides.out or obj.get("out", "reports"))
@@ -112,15 +122,13 @@ class ExperimentConfig:
 
     @staticmethod
     def _build_grid(spec: dict, override: str | None) -> Grid:
-        if override is not None:
-            sizes = tuple(int(s) for s in override.lower().split("x"))
-            spec = dict(spec, sizes=sizes)
-        sizes = tuple(int(s) for s in spec.get("sizes", (64,)))
-        spacing = float(spec.get("spacing", 1.0 / max(sizes)))
-        boundary = str(spec.get("boundary", "periodic"))
         try:
-            return Grid(len(sizes), sizes, spacing, boundary)
-        except GridError as exc:
+            if override is not None:
+                spec = dict(spec, sizes=override.lower().split("x"))
+            sizes = tuple(int(s) for s in spec.get("sizes", (64,)))
+            spacing = float(spec.get("spacing", 1.0 / max(sizes)))
+            return Grid(len(sizes), sizes, spacing, str(spec.get("boundary", "periodic")))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"grid: {exc}") from exc
 
     def coefficients(self) -> CoefficientField:
@@ -131,17 +139,21 @@ class ExperimentConfig:
         if kind == "random":
             return random_elliptic_coefficients(
                 self.grid,
-                float(spec.get("lam", 0.5)),
-                float(spec.get("Lam", 2.0)),
-                int(spec.get("seed", 1)),
+                _number("coefficients.lam", spec.get("lam", 0.5)),
+                _number("coefficients.Lam", spec.get("Lam", 2.0)),
+                _number("coefficients.seed", spec.get("seed", 1), int),
             )
         if kind == "file":
             path = spec.get("path")
             if not path:
                 raise ConfigError("coefficients.path required for kind 'file'")
-            obj = json.loads(Path(path).read_text())
-            mats = serialize.obj_to_coefficients(obj)
-            return CoefficientField(self.grid, mats)
+            try:
+                mats = serialize.obj_to_coefficients(json.loads(Path(path).read_text()))
+                # the declared bounds are placeholders until they are measured
+                lam, Lam = check_ellipticity(CoefficientField(self.grid, mats, 1.0, 1.0))
+            except (OSError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"coefficients file {path}: {exc}") from exc
+            return CoefficientField(self.grid, mats, lam, Lam)
         raise ConfigError(f"unknown coefficient kind {kind!r}")
 
     def operator(self) -> DiscreteOperator:
@@ -224,8 +236,9 @@ def cmd_assemble(cfg: ExperimentConfig) -> None:
             "coefficients": serialize.coefficients_to_obj(coeff.matrices),
         },
     )
-    if op.n <= semigroup.AUTO_DENSE_MAX:
-        w = semigroup.dense_calculus(op).w
+    calc = semigroup.calculus(op)
+    if isinstance(calc, semigroup.DenseCalculus):
+        w = calc.w
         order = np.argsort(w.real, kind="stable")
         rows = [(int(i), w[j].real, w[j].imag) for i, j in enumerate(order)]
         serialize.write_csv(cfg.out / "spectrum.csv", ("index", "re", "im"), rows)
@@ -613,7 +626,7 @@ def main(argv: list | None = None) -> int:
         cfg.out.mkdir(parents=True, exist_ok=True)
         _write_metadata(cfg, args.command)
         COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, GridError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AssertionFailure as exc:

@@ -151,9 +151,6 @@ class TentRegion:
     dist: np.ndarray  # per-node distance to the complement of base_set
     grid: Grid
 
-    def contains(self, x: int, t: float) -> bool:
-        return bool(self.dist[x] >= t)
-
     def mask(self, times: TimeGrid) -> np.ndarray:
         return self.dist[:, None] >= times.samples[None, :]
 
@@ -384,7 +381,6 @@ def molecular_decompose(
     eps: float = 1.0,
     gamma: float = 0.5,
     times: TimeGrid | None = None,
-    method: str = "auto",
     validate: bool = True,
 ) -> MolecularDecomposition:
     """Level-set molecular decomposition of f with reconstruction residual."""
@@ -398,7 +394,7 @@ def molecular_decompose(
             raise DegenerateFieldError("field must be mean-zero on a periodic grid")
         v = v - v.mean()
         f = ScalarField(v, grid)
-    u = semigroup.heat_profile(op, f, times, K=1, method=method)
+    u = semigroup.heat_profile(op, f, times, K=1)
     s_h = cone_integrate(SpaceTimeField(u, grid, times, "heat"), ConeSpec(1.0))
     s = s_h.values.real
     smax = float(s.max())
@@ -415,11 +411,7 @@ def molecular_decompose(
     kmin = math.floor(math.log2(float(pos.min())))
     kmax = math.ceil(math.log2(smax))
     c_m = calderon_constant(M)
-    calc = (
-        semigroup.dense_calculus(op)
-        if semigroup._resolve_method(op, method) == semigroup.DENSE_ORACLE
-        else None
-    )
+    calc = semigroup.calculus(op)
     ts = times.samples
     wlog = times.log_weights
 
@@ -448,7 +440,8 @@ def molecular_decompose(
             weight = c_m * 2.0**k * cube.volume
             pending.append((k, j, weight, mask, cube))
 
-    # integrate (t^2 L e^{-t^2 L})^{M+1} over each truncated tent, batched in t
+    # integrate (t^2 L e^{-t^2 L})^{M+1} over each truncated tent, batched in
+    # t; with u = (M+1) t^2 the integrand is (uL)^{M+1} e^{-uL} / (M+1)^{M+1}
     raw = [np.zeros(grid.n_nodes, dtype=complex) for _ in pending]
     for jt, t in enumerate(ts):
         active = [i for i, item in enumerate(pending) if item[3][:, jt].any()]
@@ -457,22 +450,7 @@ def molecular_decompose(
         cols = np.stack(
             [u[:, jt] * pending[i][3][:, jt] for i in active], axis=1
         )
-        s_t = float(t * t)
-        if calc is not None and calc.use_eig:
-            vals = (s_t * calc.w) ** (M + 1) * np.exp(-(M + 1) * s_t * calc.w)
-            out = calc._apply_vals(vals, cols)
-        else:
-            out = np.stack(
-                [
-                    semigroup.heat_apply(
-                        op, (M + 1) * s_t, ScalarField(cols[:, c], grid), method
-                    ).values
-                    for c in range(cols.shape[1])
-                ],
-                axis=1,
-            )
-            for _ in range(M + 1):
-                out = s_t * (op.matrix @ out)
+        out = calc.heat_poly(M + 1, (M + 1) * float(t * t), cols) / (M + 1) ** (M + 1)
         for pos_i, i in enumerate(active):
             raw[i] += wlog[jt] * out[:, pos_i]
 
@@ -517,12 +495,9 @@ def h1_norm_estimate(
     eps: float = 1.0,
     gamma: float = 0.5,
     times: TimeGrid | None = None,
-    method: str = "auto",
 ) -> H1Estimate:
     """Decomposition-based upper proxy for the molecular Hardy norm."""
-    dec = molecular_decompose(
-        f, op, M, p, eps, gamma, times, method=method, validate=False
-    )
+    dec = molecular_decompose(f, op, M, p, eps, gamma, times, validate=False)
     l1 = lp_norm(f.values, op.grid, 1)
     s_h_l1 = lp_norm(dec.s_h.values, op.grid, 1)
     return H1Estimate(dec.weight_sum, l1, dec.weight_sum + l1, s_h_l1)

@@ -103,40 +103,39 @@ def _build_profile(
     K: int,
     times: TimeGrid,
     quad_nodes: int,
-    method: str,
 ) -> np.ndarray:
     """Space-time magnitudes for one integrand kind; shape (N, T), real."""
     ts = times.samples
     if kind in ("heat", "g_h"):
-        return np.abs(semigroup.heat_profile(op, f, times, 1, method))
+        return np.abs(semigroup.heat_profile(op, f, times, 1))
     if kind in ("heat_K", "g_h_M"):
         if K < 1:
             raise ValueError("need K >= 1")
-        return np.abs(semigroup.heat_profile(op, f, times, K, method))
+        return np.abs(semigroup.heat_profile(op, f, times, K))
     if kind in ("poisson_grad", "g_P"):
-        prof = semigroup.poisson_profile(op, f, times, quad_nodes, method)
+        prof = semigroup.poisson_profile(op, f, times, quad_nodes)
         grad2 = sum(np.abs(g @ prof) ** 2 for g in op.grads)
         return np.sqrt(grad2) * ts[None, :]
     if kind == "poisson_K":
         if K < 1:
             raise ValueError("need K >= 1")
-        prof = semigroup.poisson_profile(op, f, times, quad_nodes, method)
+        prof = semigroup.poisson_profile(op, f, times, quad_nodes)
         for _ in range(K):
             prof = (op.matrix @ prof) * (ts**2)[None, :]
         return np.abs(prof)
     if kind in ("poisson_tderiv", "g_P_bar"):
-        root = semigroup.sqrt_apply(op, f, method)
-        prof = semigroup.poisson_profile(op, root, times, quad_nodes, method)
+        root = semigroup.sqrt_apply(op, f)
+        prof = semigroup.poisson_profile(op, root, times, quad_nodes)
         return np.abs(prof) * ts[None, :]
     if kind == "poisson_full_grad":
-        prof = semigroup.poisson_profile(op, f, times, quad_nodes, method)
+        prof = semigroup.poisson_profile(op, f, times, quad_nodes)
         grad2 = sum(np.abs(g @ prof) ** 2 for g in op.grads)
-        root = semigroup.sqrt_apply(op, f, method)
-        tprof = semigroup.poisson_profile(op, root, times, quad_nodes, method)
+        root = semigroup.sqrt_apply(op, f)
+        tprof = semigroup.poisson_profile(op, root, times, quad_nodes)
         return np.sqrt(grad2 + np.abs(tprof) ** 2) * ts[None, :]
     if kind == "g_P_aux":
-        pois = semigroup.poisson_profile(op, f, times, quad_nodes, method)
-        heat = semigroup.heat_profile(op, f, times, 0, method)
+        pois = semigroup.poisson_profile(op, f, times, quad_nodes)
+        heat = semigroup.heat_profile(op, f, times, 0)
         return np.abs(pois - heat)
     raise ValueError(f"unknown kind {kind!r}")
 
@@ -149,13 +148,12 @@ def square_function(
     K: int = 1,
     times: TimeGrid | None = None,
     quad_nodes: int = semigroup.DEFAULT_QUAD_NODES,
-    method: str = "auto",
 ) -> ScalarField:
     """Cone square function of the chosen semigroup integrand."""
     if kind not in SQUARE_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     times = times or semigroup.default_time_grid(op.grid)
-    vals = _build_profile(f, op, kind, K, times, quad_nodes, method)
+    vals = _build_profile(f, op, kind, K, times, quad_nodes)
     F = SpaceTimeField(vals, op.grid, times, integrand_tag=kind)
     return cone_integrate(F, cone)
 
@@ -167,13 +165,12 @@ def vertical_square_function(
     M: int = 1,
     times: TimeGrid | None = None,
     quad_nodes: int = semigroup.DEFAULT_QUAD_NODES,
-    method: str = "auto",
 ) -> ScalarField:
     """Pointwise dt/t square function, no cone."""
     if kind not in VERTICAL_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     times = times or semigroup.default_time_grid(op.grid)
-    vals = _build_profile(f, op, kind, M, times, quad_nodes, method)
+    vals = _build_profile(f, op, kind, M, times, quad_nodes)
     out = np.sqrt((np.abs(vals) ** 2) @ times.log_weights)
     return ScalarField(out, op.grid)
 
@@ -197,7 +194,6 @@ def nontangential_max(
     M: int = 1,
     times: TimeGrid | None = None,
     quad_nodes: int = semigroup.DEFAULT_QUAD_NODES,
-    method: str = "auto",
 ) -> ScalarField:
     """Non-tangential (or vertical sup) maximal function of a semigroup image.
 
@@ -211,13 +207,13 @@ def nontangential_max(
         raise ValueError("aperture beta must be positive")
     times = times or semigroup.default_time_grid(op.grid)
     if kind in ("heat", "heat_beta", "heat_star"):
-        prof = semigroup.heat_profile(op, f, times, 0, method)
+        prof = semigroup.heat_profile(op, f, times, 0)
     elif kind == "heat_star_M":
         if M < 1:
             raise ValueError("need M >= 1")
-        prof = semigroup.heat_profile(op, f, times, M, method)
+        prof = semigroup.heat_profile(op, f, times, M)
     else:  # poisson, poisson_star
-        prof = semigroup.poisson_profile(op, f, times, quad_nodes, method)
+        prof = semigroup.poisson_profile(op, f, times, quad_nodes)
     if kind in ("heat", "poisson"):
         beta = 1.0
     grid = op.grid
@@ -225,10 +221,6 @@ def nontangential_max(
     dist = grid.distance_matrix()
     ts = times.samples
     best = np.zeros(grid.n_nodes)
-    star = kind.endswith("_star") or kind.endswith("star_M") or kind in (
-        "heat_star",
-        "poisson_star",
-    )
     for j, t in enumerate(ts):
         if kind in ("heat_star", "heat_star_M", "poisson_star"):
             avg = _ball_averages(grid, g2[:, j], t)

@@ -73,9 +73,6 @@ class Grid:
         """Pairwise physical distances, periodic metric on a torus."""
         return _distance_matrix(self)
 
-    def flat_index(self, multi: tuple[int, ...]) -> int:
-        return int(np.ravel_multi_index(multi, self.sizes))
-
 
 @lru_cache(maxsize=16)
 def _distance_matrix(grid: Grid) -> np.ndarray:

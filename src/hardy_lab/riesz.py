@@ -26,22 +26,6 @@ from .semigroup import KernelComponentError
 MIN_QUAD_NODES = 32
 
 
-def _spectral_bounds(op: DiscreteOperator) -> tuple[float, float]:
-    """(smallest nonzero, largest) eigenvalue magnitudes of L."""
-    if op.n <= semigroup.AUTO_DENSE_MAX:
-        w = np.abs(semigroup.dense_calculus(op).w)
-        nonzero = w[w > 1e-10 * max(w.max(), 1.0)]
-        return float(nonzero.min()), float(w.max())
-    # Gershgorin upper bound; lower bound from the Laplacian gap scaled by
-    # the declared accretivity of the assembled form
-    mat = op.matrix
-    upper = float(np.abs(mat).sum(axis=1).max())
-    h = op.grid.spacing
-    size = max(op.grid.sizes)
-    lower = (2.0 / h * math.sin(math.pi / size)) ** 2 * 1e-2
-    return lower, upper
-
-
 def inv_sqrt_apply(
     op: DiscreteOperator, f: ScalarField, quad_nodes: int = 96
 ) -> ScalarField:
@@ -56,8 +40,8 @@ def inv_sqrt_apply(
                 "kernel component: field is not mean-zero on a periodic grid"
             )
         v = v - v.mean()
-        f = ScalarField(v, op.grid)
-    lam_min, lam_max = _spectral_bounds(op)
+    calc = semigroup.calculus(op)
+    lam_min, lam_max = calc.spectral_bounds()
     # s-window: integrand ~ sqrt(s) for s below 1/lam_max, ~ e^{-s lam_min}
     # above 1/lam_min; both tails are pushed below 1e-8
     u_lo = math.log(1e-16 / lam_max)
@@ -68,13 +52,7 @@ def inv_sqrt_apply(
     weights[0] *= 0.5
     weights[-1] *= 0.5
     s_vals = np.exp(u)
-    if semigroup._resolve_method(op, "auto") == semigroup.DENSE_ORACLE:
-        batch = semigroup.dense_calculus(op).heat_batch(s_vals, v)
-        out = batch @ (weights * np.sqrt(s_vals))
-    else:
-        out = np.zeros_like(v)
-        for s, w in zip(s_vals, weights * np.sqrt(s_vals)):
-            out = out + w * semigroup.heat_apply(op, float(s), f, semigroup.KRYLOV).values
+    out = calc.heat_batch(s_vals, v) @ (weights * np.sqrt(s_vals))
     return ScalarField(out / math.sqrt(math.pi), op.grid)
 
 
@@ -96,11 +74,6 @@ class RieszH1Report:
     per_molecule: list  # (index, cube sidelength, L1 norm of |grad L^{-1/2} m|)
     sup_norm: float
     max_min_ratio: float
-
-    def csv_rows(self):
-        yield ("molecule", "cube_sidelength", "l1_norm")
-        for idx, ell, val in self.per_molecule:
-            yield (idx, f"{ell:.12g}", f"{val:.12g}")
 
 
 def riesz_h1_experiment(

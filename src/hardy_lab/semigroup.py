@@ -1,12 +1,13 @@
 """Operator functions of L: heat and Poisson semigroups, resolvents,
 negative powers, and measured off-diagonal decay profiles.
 
-Two evaluation paths are kept side by side.  The dense oracle
-eigendecomposes L once (validated against a full matrix exponential and
-falling back to per-call dense routines if the eigenbasis is poorly
-conditioned) and serves as the reference for everything else.  The Krylov
-path uses sparse exponential actions and direct sparse solves and is the
-scalable route.
+Every operator is served by one functional calculus, built once and cached
+by `calculus(op)`.  The rule is: up to AUTO_DENSE_MAX nodes, eigendecompose
+L and keep the eigenbasis if it reconstructs a full matrix exponential to
+1e-10 (`DenseCalculus`); above that size, or when the check fails, use
+sparse exponential actions and direct sparse solves (`KrylovCalculus`).
+Both backends share the sparse LU routes for resolvents and negative
+powers.
 
 The Poisson semigroup is evaluated through the subordination formula
 
@@ -31,8 +32,6 @@ from scipy.optimize import curve_fit
 from .grid import Grid, GridError, ScalarField, lp_norm, restricted_lp_norm
 from .operator import DiscreteOperator
 
-DENSE_ORACLE = "dense_oracle"
-KRYLOV = "krylov"
 AUTO_DENSE_MAX = 1024
 MAX_HEAT_POWER = 8
 MAX_NEG_POWER = 8
@@ -90,39 +89,129 @@ def default_time_grid(grid: Grid, count: int = 64) -> TimeGrid:
 
 
 # ---------------------------------------------------------------------------
-# dense functional calculus
+# functional calculus
 # ---------------------------------------------------------------------------
 
 
-class DenseCalculus:
-    """Reference functional calculus for a single operator.
+class KrylovCalculus:
+    """Functional calculus of one operator through sparse routes, at any size.
 
-    Prefers a cached eigendecomposition; if reconstruction of e^{-t0 L}
-    disagrees with the scaling-and-squaring exponential beyond 1e-10 the
-    instance switches to per-call dense routines.
+    Heat actions are Krylov exponential actions, one column at a time;
+    resolvents and negative powers are sparse LU solves, factorized once
+    per shift and kept for the life of the instance.  Inputs are a vector
+    or, where stated, a block of columns.
     """
 
     def __init__(self, op: DiscreteOperator):
-        self.op = op
-        self.a = op.matrix.toarray()
-        self.n = self.a.shape[0]
-        w, v = scipy.linalg.eig(self.a)
+        # no reference to op itself, so the weakly keyed cache can drop it
+        self.matrix, self.grid, self.kernel_dim = op.matrix, op.grid, op.kernel_dim
+        self.n = op.n
+        self._lu: dict = {}
+        self._sqrtm = None
+
+    def heat(self, s: float, v: np.ndarray) -> np.ndarray:
+        """e^{-sL} v for a vector or a block of columns."""
+        if s == 0:
+            return np.array(v, copy=True)
+        if v.ndim == 2:
+            return np.stack([self.heat(s, col) for col in v.T], axis=1)
+        try:
+            return spla.expm_multiply(-s * self.matrix, v)
+        except Exception as exc:  # pragma: no cover - scipy internal failure
+            raise ConvergenceError(f"expm_multiply failed at t={s}: {exc}") from exc
+
+    def heat_batch(self, times: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Columns e^{-s_j L} v for a vector v; shape (N, len(times))."""
+        return np.stack([self.heat(float(s), v) for s in times], axis=1)
+
+    def heat_poly(self, k: int, s: float, v: np.ndarray) -> np.ndarray:
+        """(sL)^k e^{-sL} v for a vector or a block of columns."""
+        out = self.heat(s, v)
+        for _ in range(k):
+            out = s * (self.matrix @ out)
+        return out
+
+    def resolvent(self, s: float, v: np.ndarray) -> np.ndarray:
+        """(I + sL)^{-1} v by sparse direct solve, residual-checked."""
+        if s == 0:
+            return np.array(v, copy=True)
+        if s not in self._lu:
+            mat = sp.identity(self.n, format="csc", dtype=complex) + s * self.matrix.tocsc()
+            self._lu[s] = spla.splu(mat)
+        out = self._lu[s].solve(v)
+        resid = np.linalg.norm(out + s * (self.matrix @ out) - v)
+        scale = max(np.linalg.norm(v), 1e-300)
+        if resid / scale > 1e-10:
+            raise ConvergenceError(
+                f"resolvent solve residual {resid / scale:.2e} exceeds 1e-10"
+            )
+        return out
+
+    def neg_power(self, k: int, v: np.ndarray) -> np.ndarray:
+        """L^{-k} v by k solves on the complement of the kernel.
+
+        On periodic grids L + (1/N) 11^T is factorized instead of L, the
+        input must be mean-zero, and each solve is projected back onto the
+        mean-zero fields.
+        """
+        if "pinned" not in self._lu:
+            mat = self.matrix.tocsc().astype(complex)
+            if self.kernel_dim:
+                n = self.n
+                mat = (mat + sp.csc_matrix(np.full((n, n), 1.0 / n))).tocsc()
+            self._lu["pinned"] = spla.splu(mat)
+        for _ in range(k):
+            v = self._lu["pinned"].solve(v)
+            if self.kernel_dim:
+                v = v - v.mean()
+        return v
+
+    def sqrt(self, v: np.ndarray) -> np.ndarray:
+        """L^{1/2} v through the dense principal square root of L."""
+        if self._sqrtm is None:
+            self._sqrtm = scipy.linalg.sqrtm(self.matrix.toarray())
+        return self._sqrtm @ v
+
+    def spectral_bounds(self) -> tuple[float, float]:
+        """(lower, upper) bounds on the nonzero eigenvalue magnitudes of L.
+
+        The upper bound is Gershgorin's; the lower one is the Laplacian gap
+        scaled by the declared accretivity of the assembled form.
+        """
+        upper = float(np.abs(self.matrix).sum(axis=1).max())
+        h = self.grid.spacing
+        size = max(self.grid.sizes)
+        lower = (2.0 / h * math.sin(math.pi / size)) ** 2 * 1e-2
+        return lower, upper
+
+
+class DenseCalculus(KrylovCalculus):
+    """Functional calculus from one eigendecomposition L = V diag(w) V^{-1}.
+
+    Construction raises ConvergenceError unless the eigenbasis reconstructs
+    e^{-t0 L} to 1e-10 against the scaling-and-squaring exponential.
+    Functions of L are evaluated on the eigenvalues; resolvents and
+    negative powers keep the sparse LU routes.
+    """
+
+    def __init__(self, op: DiscreteOperator):
+        super().__init__(op)
+        a = op.matrix.toarray()
+        w, v = scipy.linalg.eig(a)
         vinv = scipy.linalg.inv(v)
         wmax = float(np.abs(w).max())
         t0 = 1.0 / (wmax + 1.0)
-        ref = scipy.linalg.expm(-t0 * self.a)
+        ref = scipy.linalg.expm(-t0 * a)
         rec = (v * np.exp(-t0 * w)) @ vinv
         err = np.linalg.norm(rec - ref) / max(np.linalg.norm(ref), 1e-300)
-        self.use_eig = bool(err < 1e-10)
+        if not err < 1e-10:
+            raise ConvergenceError(f"eigenbasis reconstruction error {err:.2e} exceeds 1e-10")
         self.kernel_mask = np.abs(w) <= 1e-10 * max(wmax, 1.0)
         if op.kernel_dim:
             # pin the kernel eigenvalues to exactly zero: roundoff-level
             # values blow up under the huge times of subordination rules
             w = np.where(self.kernel_mask, 0.0, w)
         self.w, self.v, self.vinv = w, v, vinv
-        self._lu_cache: dict = {}
-
-    # -- eigenvalue-function application ------------------------------------
 
     def _apply_vals(self, vals: np.ndarray, f: np.ndarray) -> np.ndarray:
         c = self.vinv @ f
@@ -130,104 +219,54 @@ class DenseCalculus:
             return self.v @ (vals * c)
         return self.v @ (vals[:, None] * c)
 
-    def heat(self, s: float, f: np.ndarray) -> np.ndarray:
-        """e^{-sL} f."""
+    def heat(self, s: float, v: np.ndarray) -> np.ndarray:
         if s == 0:
-            return np.array(f, copy=True)
-        if self.use_eig:
-            return self._apply_vals(np.exp(-s * self.w), f)
-        key = ("expm", s)
-        if key not in self._lu_cache:
-            self._lu_cache[key] = scipy.linalg.expm(-s * self.a)
-        return self._lu_cache[key] @ f
+            return np.array(v, copy=True)
+        return self._apply_vals(np.exp(-s * self.w), v)
 
-    def heat_batch(self, times: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """Columns e^{-s_j L} f for a 1-D input f; shape (N, len(times))."""
-        if self.use_eig:
-            c = self.vinv @ f
-            ex = -np.outer(self.w, times)
-            # roundoff can push a kernel eigenvalue slightly negative; the
-            # true spectrum is accretive, so clamp the growth direction
-            ex.real = np.minimum(ex.real, 0.0)
-            return self.v @ (np.exp(ex) * c[:, None])
-        return np.stack([self.heat(float(s), f) for s in times], axis=1)
+    def heat_batch(self, times: np.ndarray, v: np.ndarray) -> np.ndarray:
+        c = self.vinv @ v
+        ex = -np.outer(self.w, times)
+        # roundoff can push a kernel eigenvalue slightly negative; the
+        # true spectrum is accretive, so clamp the growth direction
+        ex.real = np.minimum(ex.real, 0.0)
+        return self.v @ (np.exp(ex) * c[:, None])
 
-    def heat_poly(self, k: int, s: float, f: np.ndarray) -> np.ndarray:
-        """(sL)^k e^{-sL} f."""
-        if self.use_eig:
-            return self._apply_vals((s * self.w) ** k * np.exp(-s * self.w), f)
-        out = self.heat(s, f)
-        for _ in range(k):
-            out = s * (self.a @ out)
-        return out
+    def heat_poly(self, k: int, s: float, v: np.ndarray) -> np.ndarray:
+        return self._apply_vals((s * self.w) ** k * np.exp(-s * self.w), v)
 
-    def resolvent(self, s: float, f: np.ndarray) -> np.ndarray:
-        """(I + sL)^{-1} f."""
-        if s == 0:
-            return np.array(f, copy=True)
-        if self.use_eig:
-            return self._apply_vals(1.0 / (1.0 + s * self.w), f)
-        key = ("res", s)
-        if key not in self._lu_cache:
-            self._lu_cache[key] = scipy.linalg.lu_factor(
-                np.eye(self.n) + s * self.a
-            )
-        return scipy.linalg.lu_solve(self._lu_cache[key], f)
+    def sqrt(self, v: np.ndarray) -> np.ndarray:
+        """L^{1/2} v via the principal branch on the (accretive) spectrum."""
+        return self._apply_vals(np.sqrt(self.w.astype(complex)), v)
 
-    def neg_power(self, k: int, f: np.ndarray) -> np.ndarray:
-        """L^{-k} f on the complement of the kernel (input assumed mean-zero
-        on periodic grids)."""
-        if self.use_eig:
-            vals = np.where(self.kernel_mask, 0.0, 1.0 / np.where(self.kernel_mask, 1.0, self.w) ** k)
-            return self._apply_vals(vals, f)
-        key = "pinned"
-        if key not in self._lu_cache:
-            a = self.a.copy()
-            if self.op.kernel_dim:
-                a = a + np.ones((self.n, self.n)) / self.n
-            self._lu_cache[key] = scipy.linalg.lu_factor(a)
-        out = np.array(f, copy=True)
-        for _ in range(k):
-            out = scipy.linalg.lu_solve(self._lu_cache[key], out)
-            if self.op.kernel_dim:
-                out = out - out.mean()
-        return out
-
-    def sqrt(self, f: np.ndarray) -> np.ndarray:
-        """L^{1/2} f via the principal branch on the (accretive) spectrum."""
-        if self.use_eig:
-            return self._apply_vals(np.sqrt(self.w.astype(complex)), f)
-        key = "sqrtm"
-        if key not in self._lu_cache:
-            self._lu_cache[key] = scipy.linalg.sqrtm(self.a)
-        return self._lu_cache[key] @ f
-
-    def function_matrix(self, vals: np.ndarray) -> np.ndarray:
-        """Dense matrix of an eigenvalue function (eig mode only)."""
-        if not self.use_eig:
-            raise ConvergenceError("eigenbasis too ill-conditioned for matrix functions")
-        return (self.v * vals) @ self.vinv
+    def spectral_bounds(self) -> tuple[float, float]:
+        """(smallest nonzero, largest) eigenvalue magnitudes of L."""
+        w = np.abs(self.w)
+        nonzero = w[w > 1e-10 * max(w.max(), 1.0)]
+        return float(nonzero.min()), float(w.max())
 
 
-_CALC_CACHE: "weakref.WeakKeyDictionary[DiscreteOperator, DenseCalculus]" = (
+_CALCULI: "weakref.WeakKeyDictionary[DiscreteOperator, KrylovCalculus]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def dense_calculus(op: DiscreteOperator) -> DenseCalculus:
-    calc = _CALC_CACHE.get(op)
+def calculus(op: DiscreteOperator) -> KrylovCalculus:
+    """The functional calculus serving op, built on first use and cached."""
+    calc = _CALCULI.get(op)
     if calc is None:
-        calc = DenseCalculus(op)
-        _CALC_CACHE[op] = calc
+        calc = _choose_calculus(op)
+        _CALCULI[op] = calc
     return calc
 
 
-def _resolve_method(op: DiscreteOperator, method: str) -> str:
-    if method == "auto":
-        return DENSE_ORACLE if op.n <= AUTO_DENSE_MAX else KRYLOV
-    if method not in (DENSE_ORACLE, KRYLOV):
-        raise ValueError(f"unknown method {method!r}")
-    return method
+def _choose_calculus(op: DiscreteOperator) -> KrylovCalculus:
+    if op.n <= AUTO_DENSE_MAX:
+        try:
+            return DenseCalculus(op)
+        except ConvergenceError:
+            pass
+    return KrylovCalculus(op)
 
 
 def _check_field(op: DiscreteOperator, f: ScalarField) -> np.ndarray:
@@ -241,84 +280,27 @@ def _check_field(op: DiscreteOperator, f: ScalarField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def heat_apply(
-    op: DiscreteOperator, t: float, f: ScalarField, method: str = "auto"
-) -> ScalarField:
+def heat_apply(op: DiscreteOperator, t: float, f: ScalarField) -> ScalarField:
     """e^{-tL} f."""
     if t < 0:
         raise ValueError("negative time")
-    v = _check_field(op, f)
-    if t == 0:
-        return ScalarField(v.copy(), op.grid)
-    if _resolve_method(op, method) == DENSE_ORACLE:
-        out = dense_calculus(op).heat(t, v)
-    else:
-        try:
-            out = spla.expm_multiply(-t * op.matrix, v)
-        except Exception as exc:  # pragma: no cover - scipy internal failure
-            raise ConvergenceError(f"expm_multiply failed at t={t}: {exc}") from exc
-    return ScalarField(out, op.grid)
+    return ScalarField(calculus(op).heat(t, _check_field(op, f)), op.grid)
 
 
 def heat_power_apply(
-    op: DiscreteOperator, t: float, K: int, f: ScalarField, method: str = "auto"
+    op: DiscreteOperator, t: float, K: int, f: ScalarField
 ) -> ScalarField:
     """(t^2 L)^K e^{-t^2 L} f for K >= 1."""
     if not 1 <= K <= MAX_HEAT_POWER:
         raise ValueError(f"need 1 <= K <= {MAX_HEAT_POWER}")
     if t <= 0:
         raise ValueError("need t > 0")
-    v = _check_field(op, f)
-    s = t * t
-    if _resolve_method(op, method) == DENSE_ORACLE:
-        out = dense_calculus(op).heat_poly(K, s, v)
-    else:
-        out = heat_apply(op, s, ScalarField(v, op.grid), method=KRYLOV).values
-        for _ in range(K):
-            out = s * (op.matrix @ out)
-    return ScalarField(out, op.grid)
+    return ScalarField(calculus(op).heat_poly(K, t * t, _check_field(op, f)), op.grid)
 
 
 def resolvent_apply(op: DiscreteOperator, t: float, f: ScalarField) -> ScalarField:
     """(I + t^2 L)^{-1} f by sparse direct solve, residual-checked."""
-    v = _check_field(op, f)
-    if t == 0:
-        return ScalarField(v.copy(), op.grid)
-    s = t * t
-    mat = sp.identity(op.n, format="csc", dtype=complex) + s * op.matrix.tocsc()
-    lu = _shifted_lu(op, s)
-    out = lu.solve(v)
-    resid = np.linalg.norm(mat @ out - v)
-    scale = max(np.linalg.norm(v), 1e-300)
-    if resid / scale > 1e-10:
-        raise ConvergenceError(
-            f"resolvent solve residual {resid / scale:.2e} exceeds 1e-10"
-        )
-    return ScalarField(out, op.grid)
-
-
-_LU_CACHE: "weakref.WeakKeyDictionary[DiscreteOperator, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _shifted_lu(op: DiscreteOperator, s: float):
-    cache = _LU_CACHE.setdefault(op, {})
-    if s not in cache:
-        mat = sp.identity(op.n, format="csc", dtype=complex) + s * op.matrix.tocsc()
-        cache[s] = spla.splu(mat)
-    return cache[s]
-
-
-def _pinned_lu(op: DiscreteOperator):
-    cache = _LU_CACHE.setdefault(op, {})
-    if "pinned" not in cache:
-        mat = op.matrix.tocsc().astype(complex)
-        if op.kernel_dim:
-            n = op.n
-            mat = (mat + sp.csc_matrix(np.full((n, n), 1.0 / n))).tocsc()
-        cache["pinned"] = spla.splu(mat)
-    return cache["pinned"]
+    return ScalarField(calculus(op).resolvent(t * t, _check_field(op, f)), op.grid)
 
 
 def neg_power_apply(op: DiscreteOperator, k: int, f: ScalarField) -> ScalarField:
@@ -329,7 +311,7 @@ def neg_power_apply(op: DiscreteOperator, k: int, f: ScalarField) -> ScalarField
     """
     if not 1 <= k <= MAX_NEG_POWER:
         raise ValueError(f"need 1 <= k <= {MAX_NEG_POWER}")
-    v = _check_field(op, f).copy()
+    v = _check_field(op, f)
     if op.kernel_dim:
         scale = max(float(np.abs(v).max()), 1e-300)
         if abs(v.mean()) > 1e-10 * scale:
@@ -337,12 +319,7 @@ def neg_power_apply(op: DiscreteOperator, k: int, f: ScalarField) -> ScalarField
                 "kernel component: field is not mean-zero on a periodic grid"
             )
         v = v - v.mean()
-    lu = _pinned_lu(op)
-    for _ in range(k):
-        v = lu.solve(v)
-        if op.kernel_dim:
-            v = v - v.mean()
-    return ScalarField(v, op.grid)
+    return ScalarField(calculus(op).neg_power(k, v), op.grid)
 
 
 def _subordination_rule(quad_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -370,7 +347,6 @@ def poisson_apply(
     t: float,
     f: ScalarField,
     quad_nodes: int = DEFAULT_QUAD_NODES,
-    method: str = "auto",
 ) -> ScalarField:
     """e^{-t sqrt(L)} f through the subordination quadrature."""
     if t < 0:
@@ -380,20 +356,12 @@ def poisson_apply(
     v = _check_field(op, f)
     nodes, coeffs = _subordination_rule(quad_nodes)
     heat_times = (t * t) / (4.0 * nodes)
-    if _resolve_method(op, method) == DENSE_ORACLE:
-        batch = dense_calculus(op).heat_batch(heat_times, v)
-        out = batch @ coeffs
-    else:
-        out = np.zeros_like(v)
-        for s, c in zip(heat_times, coeffs):
-            out = out + c * heat_apply(op, float(s), f, method=KRYLOV).values
-    return ScalarField(out, op.grid)
+    return ScalarField(calculus(op).heat_batch(heat_times, v) @ coeffs, op.grid)
 
 
-def sqrt_apply(op: DiscreteOperator, f: ScalarField, method: str = "auto") -> ScalarField:
-    """L^{1/2} f, spectrally at desk scale."""
-    v = _check_field(op, f)
-    return ScalarField(dense_calculus(op).sqrt(v), op.grid)
+def sqrt_apply(op: DiscreteOperator, f: ScalarField) -> ScalarField:
+    """L^{1/2} f."""
+    return ScalarField(calculus(op).sqrt(_check_field(op, f)), op.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -402,22 +370,11 @@ def sqrt_apply(op: DiscreteOperator, f: ScalarField, method: str = "auto") -> Sc
 
 
 def heat_profile(
-    op: DiscreteOperator,
-    f: ScalarField,
-    times: TimeGrid,
-    K: int = 0,
-    method: str = "auto",
+    op: DiscreteOperator, f: ScalarField, times: TimeGrid, K: int = 0
 ) -> np.ndarray:
     """Columns (t^2 L)^K e^{-t^2 L} f over the time grid; shape (N, T)."""
-    v = _check_field(op, f)
     ts = times.samples
-    if _resolve_method(op, method) == DENSE_ORACLE:
-        calc = dense_calculus(op)
-        out = calc.heat_batch(ts**2, v)
-    else:
-        out = np.stack(
-            [heat_apply(op, float(s * s), f, method=KRYLOV).values for s in ts], axis=1
-        )
+    out = calculus(op).heat_batch(ts**2, _check_field(op, f))
     for _ in range(K):
         out = (op.matrix @ out) * (ts**2)[None, :]
     return out
@@ -428,21 +385,9 @@ def poisson_profile(
     f: ScalarField,
     times: TimeGrid,
     quad_nodes: int = DEFAULT_QUAD_NODES,
-    method: str = "auto",
 ) -> np.ndarray:
     """Columns e^{-t sqrt(L)} f over the time grid; shape (N, T)."""
-    v = _check_field(op, f)
-    ts = times.samples
-    nodes, coeffs = _subordination_rule(quad_nodes)
-    if _resolve_method(op, method) == DENSE_ORACLE:
-        calc = dense_calculus(op)
-        heat_times = (ts[None, :] ** 2) / (4.0 * nodes[:, None])
-        batch = calc.heat_batch(heat_times.ravel(), v)
-        batch = batch.reshape(op.n, quad_nodes, ts.size)
-        return np.einsum("q,nqt->nt", coeffs, batch)
-    cols = []
-    for t in ts:
-        cols.append(poisson_apply(op, float(t), f, quad_nodes, method=KRYLOV).values)
+    cols = [poisson_apply(op, float(t), f, quad_nodes).values for t in times.samples]
     return np.stack(cols, axis=1)
 
 
@@ -466,47 +411,28 @@ class GaffneyProfile:
     fitted_c: float
     fitted_beta: float
 
-    def csv_rows(self) -> list[dict]:
-        return [
-            {
-                "family": self.family_tag,
-                "dist": self.distance,
-                "t": float(t),
-                "norm": float(nrm),
-                "fitted_c": self.fitted_c,
-                "fitted_beta": self.fitted_beta,
-            }
-            for t, nrm in zip(self.t_values, self.measured_norms)
-        ]
-
 
 def set_distance(grid: Grid, E: np.ndarray, F: np.ndarray) -> float:
     d = grid.distance_matrix()
     return float(d[np.ix_(np.asarray(E, int), np.asarray(F, int))].min())
 
 
-def _indicator(grid: Grid, E: np.ndarray, normalize: bool = True) -> ScalarField:
+def _indicator(grid: Grid, E: np.ndarray) -> ScalarField:
     v = np.zeros(grid.n_nodes, dtype=complex)
     v[np.asarray(E, dtype=int)] = 1.0
-    if normalize:
-        v /= lp_norm(v, grid, 2)
+    v /= lp_norm(v, grid, 2)
     return ScalarField(v, grid)
 
 
-def _family_apply(
-    op: DiscreteOperator, family: str, t: float, f: ScalarField, method: str
-) -> np.ndarray:
+def _family_apply(op: DiscreteOperator, family: str, t: float, f: ScalarField) -> np.ndarray:
     """Magnitudes of the family member at time t (gradient families fold
     the components into a pointwise Euclidean magnitude)."""
     if family == "heat":
-        return np.abs(heat_apply(op, t, f, method).values)
+        return np.abs(heat_apply(op, t, f).values)
     if family == "t_heat_deriv":
-        if _resolve_method(op, method) == DENSE_ORACLE:
-            return np.abs(dense_calculus(op).heat_poly(1, t, f.values))
-        out = heat_apply(op, t, f, method).values
-        return np.abs(t * (op.matrix @ out))
+        return np.abs(calculus(op).heat_poly(1, t, _check_field(op, f)))
     if family == "grad_heat":
-        u = heat_apply(op, t, f, method).values
+        u = heat_apply(op, t, f).values
         return math.sqrt(t) * np.sqrt((np.abs(op.gradient(u)) ** 2).sum(axis=0))
     if family == "resolvent":
         return np.abs(resolvent_apply(op, math.sqrt(t), f).values)
@@ -546,7 +472,6 @@ def gaffney_profile(
     E: np.ndarray,
     F: np.ndarray,
     times: TimeGrid,
-    method: str = "auto",
 ) -> GaffneyProfile:
     """Off-diagonal decay of one operator family, with a fitted (c, beta)."""
     E = np.asarray(E, dtype=int)
@@ -560,91 +485,7 @@ def gaffney_profile(
     ts = times.samples
     norms = np.empty(ts.size)
     for j, t in enumerate(ts):
-        mag = _family_apply(op, family, float(t), f, method)
+        mag = _family_apply(op, family, float(t), f)
         norms[j] = restricted_lp_norm(mag, op.grid, F, 2)
     c, beta = _fit_decay(dist, ts, norms)
     return GaffneyProfile(family, E, F, dist, ts, norms, c, beta)
-
-
-@dataclass(frozen=True, eq=False)
-class OffDiagProfile:
-    """L^p(E) -> L^q(F) decay data for the heat family."""
-
-    p: float
-    q: float
-    set_E: np.ndarray
-    set_F: np.ndarray
-    distance: float
-    t_values: np.ndarray
-    indicator_ratios: np.ndarray
-    operator_norms: np.ndarray  # L^2(E) -> L^q(F) kernel norms (p = 2 only, else nan)
-    predicted_exponent: float
-
-
-def offdiag_pq_profile(
-    op: DiscreteOperator,
-    p: float,
-    q: float,
-    E: np.ndarray,
-    F: np.ndarray,
-    times: TimeGrid,
-    method: str = "auto",
-) -> OffDiagProfile:
-    """Measures the heat family between L^p(E) and L^q(F).
-
-    Records both the ratio for the (fixed) normalized indicator of E and,
-    when p = 2, the true kernel operator norm, whose time scaling carries
-    the (n/q - n/p)/2 prefactor exponent.
-    """
-    if not (1 <= p <= q):
-        raise ValueError("need 1 <= p <= q")
-    E = np.asarray(E, dtype=int)
-    F = np.asarray(F, dtype=int)
-    if np.intersect1d(E, F).size:
-        raise ValueError("E and F must be disjoint")
-    dist = set_distance(op.grid, E, F)
-    if dist <= 0:
-        raise ValueError("E and F must have positive distance")
-    grid = op.grid
-    f = _indicator(grid, E, normalize=False)
-    denom = restricted_lp_norm(f.values, grid, E, p)
-    ts = times.samples
-    ratios = np.empty(ts.size)
-    opnorms = np.full(ts.size, math.nan)
-    calc = dense_calculus(op) if op.n <= AUTO_DENSE_MAX else None
-    h_vol = grid.cell_volume
-    for j, t in enumerate(ts):
-        u = heat_apply(op, float(t), f, method).values
-        ratios[j] = restricted_lp_norm(u, grid, F, q) / denom
-        if p == 2 and calc is not None and calc.use_eig:
-            kmat = calc.function_matrix(np.exp(-float(t) * calc.w))
-            sub = kmat[np.ix_(F, E)]
-            if math.isinf(q):
-                opnorms[j] = float(
-                    np.sqrt((np.abs(sub) ** 2).sum(axis=1)).max() / math.sqrt(h_vol)
-                )
-            elif q == 2:
-                opnorms[j] = float(np.linalg.norm(sub, ord=2))
-    n = grid.dim
-    nq = 0.0 if math.isinf(q) else n / q
-    exponent = (nq - n / p) / 2.0
-    return OffDiagProfile(p, q, E, F, dist, ts, ratios, opnorms, exponent)
-
-
-def l2_operator_norms(
-    op: DiscreteOperator, family: str, times: np.ndarray
-) -> np.ndarray:
-    """Spectral L^2 -> L^2 norms of a family at the given times (dense)."""
-    calc = dense_calculus(op)
-    out = np.empty(len(times))
-    for j, t in enumerate(times):
-        if family == "heat":
-            vals = np.exp(-t * calc.w)
-        elif family == "t_heat_deriv":
-            vals = t * calc.w * np.exp(-t * calc.w)
-        elif family == "resolvent":
-            vals = 1.0 / (1.0 + t * calc.w)
-        else:
-            raise ValueError(f"unknown family {family!r}")
-        out[j] = float(np.linalg.norm(calc.function_matrix(vals), ord=2))
-    return out

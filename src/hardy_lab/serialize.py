@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, GridError, ScalarField
+from .grid import ScalarField
 
 
 def fmt(x) -> str:
@@ -50,13 +50,6 @@ def field_to_obj(field: ScalarField) -> dict:
         "re": [float(v) for v in field.values.real],
         "im": [float(v) for v in field.values.imag],
     }
-
-
-def obj_to_field(obj: dict, grid: Grid) -> ScalarField:
-    if list(grid.sizes) != list(obj["sizes"]):
-        raise GridError("serialized field sizes do not match the grid")
-    values = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
-    return ScalarField(values, grid)
 
 
 def coefficients_to_obj(matrices: np.ndarray) -> dict:

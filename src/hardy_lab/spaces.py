@@ -26,6 +26,7 @@ from .grid import (
 )
 from .operator import DiscreteOperator, adjoint_operator
 from . import semigroup
+from .decomposition import dist_to_complement
 from .functionals import ConeSpec, SpaceTimeField, cone_integrate
 from .semigroup import TimeGrid
 
@@ -60,7 +61,6 @@ def _oscillation_fields(
     M: int,
     variant: str,
     lengths: list,
-    method: str,
 ) -> dict:
     """(I - A_l)^M f for each distinct sidelength l, by binomial expansion."""
     v = f.values
@@ -76,7 +76,7 @@ def _oscillation_fields(
             if variant == "resolvent":
                 power = semigroup.resolvent_apply(op, ell, ScalarField(power, grid)).values
             else:
-                power = semigroup.heat_apply(op, ell * ell, ScalarField(power, grid), method).values
+                power = semigroup.heat_apply(op, ell * ell, ScalarField(power, grid)).values
         out[ell] = acc
     return out
 
@@ -96,7 +96,6 @@ def bmo_norm(
     M: int = 1,
     variant: str = "heat",
     p: float = 2.0,
-    method: str = "auto",
 ) -> BmoReport:
     """sup over the dyadic cube family of the L^p cube mean of (I - A_l)^M f."""
     if variant not in BMO_VARIANTS:
@@ -111,7 +110,7 @@ def bmo_norm(
     cubes = dyadic_cubes(grid)
     lengths = sorted({c.sidelength for c in cubes})
     osc = _oscillation_fields(
-        f, op, M, "resolvent" if variant == "resolvent" else "heat", lengths, method
+        f, op, M, "resolvent" if variant == "resolvent" else "heat", lengths
     )
     per_cube = []
     for cube in sorted(cubes, key=lambda c: (c.nnodes, c.anchor)):
@@ -128,13 +127,6 @@ def bmo_norm(
 # ---------------------------------------------------------------------------
 
 
-def _tent_dist(grid: Grid, nodes: np.ndarray) -> np.ndarray:
-    comp = np.setdiff1d(np.arange(grid.n_nodes), nodes, assume_unique=True)
-    if comp.size == 0:
-        return np.full(grid.n_nodes, np.inf)
-    return grid.distance_matrix()[:, comp].min(axis=1)
-
-
 def _ball_tent_masses(
     density: np.ndarray, grid: Grid, times: TimeGrid, balls: list
 ) -> np.ndarray:
@@ -148,7 +140,7 @@ def _ball_tent_masses(
     masses = np.zeros(len(balls))
     for b, cube in enumerate(balls):
         nodes = cube.node_set(0)
-        dist = _tent_dist(grid, nodes)
+        dist = dist_to_complement(grid, nodes)
         mask = dist[:, None] >= ts[None, :]
         masses[b] = float(
             ((mask * density).sum(axis=0) * wlog).sum() * grid.cell_volume
@@ -167,14 +159,13 @@ def carleson_functional(
     op: DiscreteOperator,
     M: int = 1,
     times: TimeGrid | None = None,
-    method: str = "auto",
 ) -> CarlesonReport:
     """Carleson norm of the measure |(t^2 L)^M e^{-t^2 L} f|^2 dy dt/t."""
     if M < 1:
         raise ValueError("need M >= 1")
     grid = op.grid
     times = times or semigroup.default_time_grid(grid)
-    prof = semigroup.heat_profile(op, f, times, K=M, method=method)
+    prof = semigroup.heat_profile(op, f, times, K=M)
     density = np.abs(prof) ** 2
     balls = sorted(dyadic_cubes(grid), key=lambda c: (c.nnodes, c.anchor))
     masses = _ball_tent_masses(density, grid, times, balls)
@@ -231,7 +222,6 @@ def duality_pair(
     op: DiscreteOperator,
     M: int = 1,
     times: TimeGrid | None = None,
-    method: str = "auto",
 ) -> complex:
     """<f, g> recovered from the two-sided square-function expansion
 
@@ -251,8 +241,8 @@ def duality_pair(
                 )
     times = times or _duality_time_grid(grid)
     star = adjoint_operator(op)
-    prof_f = semigroup.heat_profile(star, f, times, K=M, method=method)
-    prof_g = semigroup.heat_profile(op, g, times, K=1, method=method)
+    prof_f = semigroup.heat_profile(star, f, times, K=M)
+    prof_g = semigroup.heat_profile(op, g, times, K=1)
     integrand = (prof_f * np.conj(prof_g)).sum(axis=0) * grid.cell_volume
     return complex(duality_constant(M) * (integrand @ times.log_weights))
 
@@ -274,11 +264,10 @@ def john_nirenberg_compare(
     op: DiscreteOperator,
     M: int = 1,
     p_list: tuple = (1.5, 2.0, 3.0),
-    method: str = "auto",
 ) -> JohnNirenbergReport:
     """BMO_L^p norms across exponents with their pairwise ratios."""
     norms = {
-        p: bmo_norm(f, op, M, "p", p, method).norm for p in p_list
+        p: bmo_norm(f, op, M, "p", p).norm for p in p_list
     }
     ratios = {}
     for p in p_list:

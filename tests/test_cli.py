@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardy_lab import cli, serialize
+from hardy_lab import Grid, cli, random_elliptic_coefficients, serialize
 
 
 def write_config(tmp_path, **extra):
@@ -75,6 +75,43 @@ def test_unmatched_oracle_filter_is_config_error(tmp_path):
     cfg = write_config(tmp_path)
     code = cli.main(["oracle", "--config", str(cfg), "--filter", "no_such_oracle"])
     assert code == cli.EXIT_CONFIG
+
+
+def assert_one_line_config_error(capsys, code):
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def write_coefficients(tmp_path, matrices):
+    path = tmp_path / "coefficients.json"
+    path.write_text(json.dumps(serialize.coefficients_to_obj(matrices)))
+    return {"kind": "file", "path": str(path)}
+
+
+def test_file_coefficients_are_measured(tmp_path):
+    coeff = random_elliptic_coefficients(Grid(1, (64,), 1.0 / 64), 0.5, 2.0, seed=1)
+    cfg = write_config(tmp_path, coefficients=write_coefficients(tmp_path, coeff.matrices))
+    assert cli.main(["assemble", "--config", str(cfg)]) == cli.EXIT_OK
+    obj = json.loads((tmp_path / "reports" / "operator.json").read_text())
+    assert obj["coefficients"] == serialize.coefficients_to_obj(coeff.matrices)
+
+
+def test_degenerate_file_coefficients_are_config_error(tmp_path, capsys):
+    coeff = random_elliptic_coefficients(Grid(1, (64,), 1.0 / 64), 0.5, 2.0, seed=1)
+    cfg = write_config(tmp_path, coefficients=write_coefficients(tmp_path, -coeff.matrices))
+    assert_one_line_config_error(capsys, cli.main(["assemble", "--config", str(cfg)]))
+
+
+def test_non_numeric_param_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, params={"M": "x"})
+    assert_one_line_config_error(capsys, cli.main(["assemble", "--config", str(cfg)]))
+
+
+def test_non_dyadic_decompose_grid_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    code = cli.main(["decompose", "--config", str(cfg), "--grid", "12x12"])
+    assert_one_line_config_error(capsys, code)
 
 
 def test_failed_assertion_exits_two(tmp_path):

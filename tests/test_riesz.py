@@ -34,9 +34,9 @@ def test_inv_sqrt_linearity(op1d, grid1d):
 
 
 def test_inv_sqrt_refinement_improves(op1d_random, field1d):
-    from hardy_lab.semigroup import dense_calculus
+    from hardy_lab.semigroup import DenseCalculus
 
-    calc = dense_calculus(op1d_random)
+    calc = DenseCalculus(op1d_random)
     mask = np.abs(calc.w) > 1e-10
     safe = np.where(mask, calc.w.astype(complex), 1.0)
     vals = np.where(mask, safe**-0.5, 0.0)

@@ -1,22 +1,30 @@
 """Functional calculus: heat, resolvent, Poisson, fractional powers."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hardy_lab import (
     ScalarField,
     TimeGrid,
+    assemble_operator,
     gaffney_profile,
     heat_apply,
     heat_profile,
+    identity_coefficients,
     lp_norm,
     neg_power_apply,
     poisson_apply,
+    random_elliptic_coefficients,
     resolvent_apply,
     sqrt_apply,
 )
 from hardy_lab import semigroup
-from hardy_lab.semigroup import KernelComponentError
+from hardy_lab.semigroup import ConvergenceError, KernelComponentError
+from conftest import mean_zero_field
 
 
 def test_time_grid_validation():
@@ -57,10 +65,59 @@ def test_heat_semigroup_property(op1d_random, field1d):
     assert np.abs(one_step.values - two_step.values).max() < 1e-10
 
 
-def test_heat_krylov_matches_dense(op1d_random, field1d):
-    dense = heat_apply(op1d_random, 0.05, field1d, method=semigroup.DENSE_ORACLE)
-    krylov = heat_apply(op1d_random, 0.05, field1d, method=semigroup.KRYLOV)
-    assert np.abs(dense.values - krylov.values).max() < 1e-8
+@pytest.fixture(scope="module", params=["1d", "2d"])
+def random_op(request, grid1d, grid2d):
+    grid = grid1d if request.param == "1d" else grid2d
+    return assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, seed=1))
+
+
+# each calculus method at the oracle suite's tolerance for its kind of quantity:
+# 1e-8 for functions of L, 1e-10 for direct solves
+PARITY = {
+    "heat": (lambda c, v: c.heat(0.05, v), 1e-8),
+    "heat_block": (lambda c, v: c.heat(0.05, np.stack([v, v.conj()], axis=1)), 1e-8),
+    "heat_batch": (lambda c, v: c.heat_batch(np.array([1e-4, 1e-2, 0.1]), v), 1e-8),
+    "heat_poly": (lambda c, v: c.heat_poly(2, 0.01, v), 1e-8),
+    "resolvent": (lambda c, v: c.resolvent(0.01, v), 1e-10),
+    "neg_power": (lambda c, v: c.neg_power(2, v), 1e-10),
+    "sqrt": (lambda c, v: c.sqrt(v), 1e-8),
+}
+
+
+@pytest.mark.parametrize("method", sorted(PARITY))
+def test_heat_krylov_matches_dense(random_op, method):
+    v = mean_zero_field(random_op.grid, seed=3).values
+    apply, tol = PARITY[method]
+    dense = apply(semigroup.DenseCalculus(random_op), v)
+    krylov = apply(semigroup.KrylovCalculus(random_op), v)
+    assert np.abs(krylov - dense).max() <= tol * np.abs(dense).max()
+
+
+def test_failed_eigenbasis_check_selects_krylov(monkeypatch, grid1d, field1d):
+    op = assemble_operator(grid1d, random_elliptic_coefficients(grid1d, 0.5, 2.0, seed=1))
+    eig = scipy.linalg.eig
+    noise = np.random.default_rng(0).normal(size=(op.n, op.n))
+
+    def perturbed_eig(a):
+        w, v = eig(a)
+        return w, v + 1e-6 * noise
+
+    monkeypatch.setattr(semigroup.scipy.linalg, "eig", perturbed_eig)
+    with pytest.raises(ConvergenceError):
+        semigroup.DenseCalculus(op)
+    assert type(semigroup.calculus(op)) is semigroup.KrylovCalculus
+    ref = scipy.linalg.expm(-0.05 * op.matrix.toarray()) @ field1d.values
+    got = heat_apply(op, 0.05, field1d).values
+    assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+def test_calculus_cache_releases_dropped_operators(grid1d):
+    op = assemble_operator(grid1d, identity_coefficients(grid1d))
+    semigroup.calculus(op)
+    alive = weakref.ref(op)
+    del op
+    gc.collect()
+    assert alive() is None
 
 
 def test_resolvent_inverts_operator(op1d_random, grid1d, field1d):
