@@ -28,6 +28,7 @@ from .semigroup import (
     gaffney_profile,
     heat_apply,
     heat_profile,
+    mean_zero,
     neg_power_apply,
     poisson_apply,
     poisson_profile,

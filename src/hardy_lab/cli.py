@@ -25,6 +25,7 @@ from .grid import (
     CoefficientField,
     Grid,
     GridError,
+    NonEllipticError,
     ScalarField,
     check_ellipticity,
     identity_coefficients,
@@ -80,6 +81,15 @@ def _number(label: str, value, kind=float):
         raise ConfigError(f"{label}: not a number: {value!r}") from exc
 
 
+def _section(obj: dict, name: str) -> dict:
+    spec = obj.get(name)
+    if spec is None:
+        return {}
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name}: must be a JSON object, got {spec!r}")
+    return spec
+
+
 class ExperimentConfig:
     """Validated run configuration assembled from JSON plus overrides."""
 
@@ -87,18 +97,19 @@ class ExperimentConfig:
         if not isinstance(obj, dict):
             raise ConfigError("config root must be a JSON object")
         self.raw = obj
-        self.grid = self._build_grid(obj.get("grid", {}), overrides.grid)
-        self.coeff_spec = obj.get("coefficients", {"kind": "identity"})
-        self.times_spec = obj.get("times")
-        params = obj.get("params", {})
+        self.grid = self._build_grid(_section(obj, "grid"), overrides.grid)
+        self.coeff_spec = _section(obj, "coefficients")
+        self.times_spec = _section(obj, "times")
+        params = _section(obj, "params")
         self.M = _number("params.M", params.get("M", 1), int)
         self.p = _number("params.p", params.get("p", 2.0))
         self.eps = _number("params.eps", params.get("eps", 1.0))
         self.gamma = _number("params.gamma", params.get("gamma", 0.5))
-        self.apertures = [
-            _number("params.apertures", a) for a in params.get("apertures", (1.0, 1.5, 2.0))
-        ]
-        corpus = obj.get("corpus", {})
+        apertures = params.get("apertures", (1.0, 1.5, 2.0))
+        if not isinstance(apertures, (list, tuple)):
+            raise ConfigError(f"params.apertures: not a list: {apertures!r}")
+        self.apertures = [_number("params.apertures", a) for a in apertures]
+        corpus = _section(obj, "corpus")
         self.corpus_kind = str(corpus.get("kind", "standard"))
         self.corpus_count = _number("corpus.count", corpus.get("count", 20), int)
         self.corpus_seed = _number("corpus.seed", corpus.get("seed", 7), int)
@@ -106,10 +117,10 @@ class ExperimentConfig:
             self.corpus_seed = int(overrides.seed)
         self.out = Path(overrides.out or obj.get("out", "reports"))
         self.tolerances = dict(DEFAULT_TOLERANCES)
-        for key, val in obj.get("tolerances", {}).items():
+        for key, val in _section(obj, "tolerances").items():
             if key not in self.tolerances:
                 raise ConfigError(f"unknown tolerance {key!r}")
-            self.tolerances[key] = float(val)
+            self.tolerances[key] = _number(f"tolerances.{key}", val)
         self.filter = overrides.filter
         if self.M < 1:
             raise ConfigError("params.M must be >= 1")
@@ -119,6 +130,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown corpus kind {self.corpus_kind!r}")
         if not 0 < self.gamma < 1:
             raise ConfigError("params.gamma must lie in (0, 1)")
+        if not all(a >= 1 for a in self.apertures):
+            raise ConfigError("params.apertures must all be >= 1")
 
     @staticmethod
     def _build_grid(spec: dict, override: str | None) -> Grid:
@@ -160,16 +173,15 @@ class ExperimentConfig:
         return assemble_operator(self.grid, self.coefficients())
 
     def times(self) -> TimeGrid:
-        if self.times_spec is None:
-            return semigroup.default_time_grid(self.grid)
         s = self.times_spec
+        base = semigroup.default_time_grid(self.grid)
         try:
             return TimeGrid(
-                float(s.get("t_min", self.grid.spacing / 4)),
-                float(s.get("t_max", 4.0 * max(self.grid.side_lengths))),
-                int(s.get("count", 64)),
+                float(s.get("t_min", base.t_min)),
+                float(s.get("t_max", base.t_max)),
+                int(s.get("count", base.count)),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"times: {exc}") from exc
 
     def decomposition_times(self) -> TimeGrid:
@@ -626,7 +638,7 @@ def main(argv: list | None = None) -> int:
         cfg.out.mkdir(parents=True, exist_ok=True)
         _write_metadata(cfg, args.command)
         COMMANDS[args.command](cfg)
-    except (ConfigError, GridError) as exc:
+    except (ConfigError, GridError, NonEllipticError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AssertionFailure as exc:

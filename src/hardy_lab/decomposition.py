@@ -296,10 +296,9 @@ def make_molecule(
             out = out - semigroup.resolvent_apply(op, ell, ScalarField(out, grid)).values
     else:
         raise ValueError(f"unknown molecule kind {kind!r}")
-    if op.kernel_dim:
-        # the cancellation factor annihilates constants exactly; remove the
-        # roundoff-level mean so the inverse-power chain stays well posed
-        out = out - out.mean()
+    # the cancellation factor annihilates constants exactly; remove the
+    # roundoff-level mean so the inverse-power chain stays well posed
+    out = semigroup.mean_zero(op, out)
     raw = _annular_table(out, cube, op, p, eps, M)
     norm_const = raw.max_ratio if raw.max_ratio > 0 else 1.0
     scaled = out / norm_const
@@ -387,13 +386,11 @@ def molecular_decompose(
     grid = op.grid
     _require_dyadic(grid)
     times = times or semigroup.default_time_grid(grid)
-    v = f.values
-    if op.kernel_dim:
-        scale = max(float(np.abs(v).max()), 1e-300)
-        if abs(v.mean()) > 1e-10 * scale:
-            raise DegenerateFieldError("field must be mean-zero on a periodic grid")
-        v = v - v.mean()
-        f = ScalarField(v, grid)
+    try:
+        v = semigroup.mean_zero(op, f.values)
+    except semigroup.KernelComponentError as exc:
+        raise DegenerateFieldError(str(exc)) from exc
+    f = ScalarField(v, grid)
     u = semigroup.heat_profile(op, f, times, K=1)
     s_h = cone_integrate(SpaceTimeField(u, grid, times, "heat"), ConeSpec(1.0))
     s = s_h.values.real

@@ -21,7 +21,6 @@ from .grid import ScalarField, VectorField, lp_norm, restricted_lp_norm
 from .operator import DiscreteOperator
 from . import semigroup
 from .functionals import vertical_square_function
-from .semigroup import KernelComponentError
 
 MIN_QUAD_NODES = 32
 
@@ -32,14 +31,7 @@ def inv_sqrt_apply(
     """L^{-1/2} f by log-substituted trapezoid quadrature."""
     if quad_nodes < MIN_QUAD_NODES:
         raise ValueError(f"need quad_nodes >= {MIN_QUAD_NODES}")
-    v = f.values
-    if op.kernel_dim:
-        scale = max(float(np.abs(v).max()), 1e-300)
-        if abs(v.mean()) > 1e-10 * scale:
-            raise KernelComponentError(
-                "kernel component: field is not mean-zero on a periodic grid"
-            )
-        v = v - v.mean()
+    v = semigroup.mean_zero(op, f.values)
     calc = semigroup.calculus(op)
     lam_min, lam_max = calc.spectral_bounds()
     # s-window: integrand ~ sqrt(s) for s below 1/lam_max, ~ e^{-s lam_min}
@@ -56,11 +48,9 @@ def inv_sqrt_apply(
     return ScalarField(out / math.sqrt(math.pi), op.grid)
 
 
-def riesz_apply(
-    op: DiscreteOperator, f: ScalarField, quad_nodes: int = 96
-) -> VectorField:
+def riesz_apply(op: DiscreteOperator, f: ScalarField) -> VectorField:
     """grad L^{-1/2} f as a vector field."""
-    half = inv_sqrt_apply(op, f, quad_nodes)
+    half = inv_sqrt_apply(op, f)
     return VectorField(op.gradient(half.values), op.grid)
 
 
@@ -76,13 +66,11 @@ class RieszH1Report:
     max_min_ratio: float
 
 
-def riesz_h1_experiment(
-    molecules: list, op: DiscreteOperator, quad_nodes: int = 96
-) -> RieszH1Report:
+def riesz_h1_experiment(molecules: list, op: DiscreteOperator) -> RieszH1Report:
     """L^1 norms of the Riesz transform over a molecule corpus."""
     rows = []
     for idx, mol in enumerate(molecules):
-        out = riesz_apply(op, mol.field, quad_nodes)
+        out = riesz_apply(op, mol.field)
         l1 = lp_norm(out.magnitude(), op.grid, 1)
         rows.append((idx, mol.cube.sidelength, l1))
     vals = [r[2] for r in rows]
@@ -96,7 +84,6 @@ def riesz_h1_experiment(
 class CommutatorPoint:
     t: float
     measured_expansive: float  # T (I - e^{-tL})^M f
-    measured_compact: float  # T (tL e^{-tL})^M f
     reference: float  # (t / dist^2)^M
 
 
@@ -107,13 +94,12 @@ def gaffney_commutator_check(
     t: float,
     E: np.ndarray,
     F: np.ndarray,
-    quad_nodes: int = 96,
 ) -> CommutatorPoint:
-    """Off-diagonal norms of T composed with semigroup commutator factors.
+    """Off-diagonal norm of T composed with a semigroup commutator factor.
 
-    f is the L^2-normalized indicator of E; both (I - e^{-tL})^M f and
-    (tL e^{-tL})^M f are measured through T on F and reported next to the
-    reference decay (t/dist(E,F)^2)^M.
+    f is the L^2-normalized indicator of E; (I - e^{-tL})^M f is measured
+    through T on F and reported next to the reference decay
+    (t/dist(E,F)^2)^M.
     """
     if T not in ("g_h", "riesz"):
         raise ValueError(f"unknown transform {T!r}")
@@ -131,22 +117,14 @@ def gaffney_commutator_check(
     for i in range(M + 1):
         term = ind if i == 0 else semigroup.heat_apply(op, i * t, ScalarField(ind, grid)).values
         expansive = expansive + (-1) ** i * math.comb(M, i) * term
-    compact = semigroup.heat_apply(op, M * t, ScalarField(ind, grid)).values
-    for _ in range(M):
-        compact = t * (op.matrix @ compact)
-
-    def transform_norm(values: np.ndarray) -> float:
-        field = ScalarField(values, grid)
-        if T == "riesz":
-            if op.kernel_dim:
-                field = ScalarField(values - values.mean(), grid)
-            out = riesz_apply(op, field, quad_nodes).magnitude()
-        else:
-            out = vertical_square_function(field, op, "g_h").values
-        return restricted_lp_norm(out, grid, np.asarray(F, dtype=int), 2)
-
-    ref = (t / (d * d)) ** M
-    return CommutatorPoint(t, transform_norm(expansive), transform_norm(compact), ref)
+    field = ScalarField(expansive, grid)
+    if T == "riesz":
+        # riesz_apply projects the roundoff-level mean through mean_zero
+        out = riesz_apply(op, field).magnitude()
+    else:
+        out = vertical_square_function(field, op, "g_h").values
+    measured = restricted_lp_norm(out, grid, np.asarray(F, dtype=int), 2)
+    return CommutatorPoint(t, measured, (t / (d * d)) ** M)
 
 
 def commutator_slope(
@@ -156,14 +134,9 @@ def commutator_slope(
     E: np.ndarray,
     F: np.ndarray,
     t_values: np.ndarray,
-    which: str = "expansive",
-    quad_nodes: int = 96,
 ) -> float:
     """Log-log slope of the measured commutator norm against t."""
-    pts = [gaffney_commutator_check(op, T, M, float(t), E, F, quad_nodes) for t in t_values]
-    ys = np.array(
-        [p.measured_expansive if which == "expansive" else p.measured_compact for p in pts]
-    )
-    ys = np.maximum(ys, 1e-300)
+    pts = [gaffney_commutator_check(op, T, M, float(t), E, F) for t in t_values]
+    ys = np.maximum([p.measured_expansive for p in pts], 1e-300)
     slope = np.polyfit(np.log(np.asarray(t_values, dtype=float)), np.log(ys), 1)[0]
     return float(slope)

@@ -98,8 +98,10 @@ class KrylovCalculus:
 
     Heat actions are Krylov exponential actions, one column at a time;
     resolvents and negative powers are sparse LU solves, factorized once
-    per shift and kept for the life of the instance.  Inputs are a vector
-    or, where stated, a block of columns.
+    per shift and kept for the life of the instance; on periodic grids the
+    negative powers factorize L bordered by the constants, which keeps the
+    pinned matrix sparse.  Inputs are a vector or, where stated, a block of
+    columns.
     """
 
     def __init__(self, op: DiscreteOperator):
@@ -150,20 +152,22 @@ class KrylovCalculus:
     def neg_power(self, k: int, v: np.ndarray) -> np.ndarray:
         """L^{-k} v by k solves on the complement of the kernel.
 
-        On periodic grids L + (1/N) 11^T is factorized instead of L, the
-        input must be mean-zero, and each solve is projected back onto the
-        mean-zero fields.
+        On periodic grids the sparse bordered matrix [[L, 1], [1^T, 0]] is
+        factorized instead of L.  Its solution for (v, 0) is the mean-zero
+        x with L x = v - mean(v), the multiplier absorbing the mean, so
+        every solve lands on the mean-zero fields.  The input should be
+        mean-zero (see `mean_zero`).
         """
         if "pinned" not in self._lu:
             mat = self.matrix.tocsc().astype(complex)
             if self.kernel_dim:
-                n = self.n
-                mat = (mat + sp.csc_matrix(np.full((n, n), 1.0 / n))).tocsc()
+                ones = np.ones((self.n, 1))
+                mat = sp.bmat([[mat, ones], [ones.T, None]], format="csc")
             self._lu["pinned"] = spla.splu(mat)
         for _ in range(k):
-            v = self._lu["pinned"].solve(v)
             if self.kernel_dim:
-                v = v - v.mean()
+                v = np.append(v, 0.0)
+            v = self._lu["pinned"].solve(v)[: self.n]
         return v
 
     def sqrt(self, v: np.ndarray) -> np.ndarray:
@@ -303,22 +307,32 @@ def resolvent_apply(op: DiscreteOperator, t: float, f: ScalarField) -> ScalarFie
     return ScalarField(calculus(op).resolvent(t * t, _check_field(op, f)), op.grid)
 
 
+def mean_zero(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
+    """v with its kernel component removed, where L has one.
+
+    On periodic grids the constants span the kernel of L, so inverse
+    powers and the duality pairing exist only on mean-zero fields: a mean
+    below 1e-10 max|v| is roundoff and is projected away, anything larger
+    raises KernelComponentError.  On Dirichlet grids v is returned as is.
+    """
+    if not op.kernel_dim:
+        return v
+    mean = v.mean()
+    if abs(mean) > 1e-10 * max(float(np.abs(v).max()), 1e-300):
+        raise KernelComponentError(
+            "kernel component: field is not mean-zero on a periodic grid"
+        )
+    return v - mean
+
+
 def neg_power_apply(op: DiscreteOperator, k: int, f: ScalarField) -> ScalarField:
     """L^{-k} f by k successive solves on the complement of the kernel.
 
-    On periodic grids the input must be mean-zero; a relative mean below
-    1e-10 is projected away, anything larger is an error.
+    The input passes through `mean_zero` first.
     """
     if not 1 <= k <= MAX_NEG_POWER:
         raise ValueError(f"need 1 <= k <= {MAX_NEG_POWER}")
-    v = _check_field(op, f)
-    if op.kernel_dim:
-        scale = max(float(np.abs(v).max()), 1e-300)
-        if abs(v.mean()) > 1e-10 * scale:
-            raise KernelComponentError(
-                "kernel component: field is not mean-zero on a periodic grid"
-            )
-        v = v - v.mean()
+    v = mean_zero(op, _check_field(op, f))
     return ScalarField(calculus(op).neg_power(k, v), op.grid)
 
 

@@ -30,7 +30,7 @@ from .decomposition import dist_to_complement
 from .functionals import ConeSpec, SpaceTimeField, cone_integrate
 from .semigroup import TimeGrid
 
-BMO_VARIANTS = ("heat", "resolvent", "p")
+BMO_VARIANTS = ("heat", "resolvent")
 
 
 def dyadic_cubes(grid: Grid) -> list:
@@ -56,15 +56,17 @@ def dyadic_cubes(grid: Grid) -> list:
 
 
 def _oscillation_fields(
-    f: ScalarField,
-    op: DiscreteOperator,
-    M: int,
-    variant: str,
-    lengths: list,
+    f: ScalarField, op: DiscreteOperator, M: int, variant: str
 ) -> dict:
-    """(I - A_l)^M f for each distinct sidelength l, by binomial expansion."""
+    """(I - A_l)^M f for each sidelength l of the cube family, by binomial
+    expansion."""
+    if variant not in BMO_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if M < 1:
+        raise ValueError("need M >= 1")
     v = f.values
     grid = op.grid
+    lengths = sorted({c.sidelength for c in dyadic_cubes(grid)})
     out = {}
     for ell in lengths:
         acc = np.zeros_like(v)
@@ -90,6 +92,19 @@ class BmoReport:
     norm: float
 
 
+def _cube_sup(osc: dict, grid: Grid, p: float) -> tuple[list, float]:
+    """Per-cube L^p means of the oscillation fields and their supremum."""
+    if not p > 1:
+        raise ValueError("need p > 1")
+    per_cube = []
+    for cube in sorted(dyadic_cubes(grid), key=lambda c: (c.nnodes, c.anchor)):
+        nodes = cube.node_set(0)
+        local = restricted_lp_norm(osc[cube.sidelength], grid, nodes, p)
+        local /= cube.volume ** (1.0 / p)
+        per_cube.append((cube, local))
+    return per_cube, max((v for _, v in per_cube), default=0.0)
+
+
 def bmo_norm(
     f: ScalarField,
     op: DiscreteOperator,
@@ -98,27 +113,8 @@ def bmo_norm(
     p: float = 2.0,
 ) -> BmoReport:
     """sup over the dyadic cube family of the L^p cube mean of (I - A_l)^M f."""
-    if variant not in BMO_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if M < 1:
-        raise ValueError("need M >= 1")
-    if variant != "p":
-        p = 2.0
-    if not p > 1:
-        raise ValueError("need p > 1")
-    grid = op.grid
-    cubes = dyadic_cubes(grid)
-    lengths = sorted({c.sidelength for c in cubes})
-    osc = _oscillation_fields(
-        f, op, M, "resolvent" if variant == "resolvent" else "heat", lengths
-    )
-    per_cube = []
-    for cube in sorted(cubes, key=lambda c: (c.nnodes, c.anchor)):
-        nodes = cube.node_set(0)
-        local = restricted_lp_norm(osc[cube.sidelength], grid, nodes, p)
-        local /= cube.volume ** (1.0 / p)
-        per_cube.append((cube, local))
-    norm = max((v for _, v in per_cube), default=0.0)
+    osc = _oscillation_fields(f, op, M, variant)
+    per_cube, norm = _cube_sup(osc, op.grid, p)
     return BmoReport(variant, M, p, per_cube, norm)
 
 
@@ -232,13 +228,8 @@ def duality_pair(
     grid = op.grid
     if f.grid != grid or g.grid != grid:
         raise GridError("field grids do not match the operator")
-    if op.kernel_dim:
-        for v in (f.values, g.values):
-            scale = max(float(np.abs(v).max()), 1e-300)
-            if scale > 1e-300 and abs(v.mean()) > 1e-8 * scale:
-                raise semigroup.KernelComponentError(
-                    "duality pairing needs mean-zero fields on a periodic grid"
-                )
+    f = ScalarField(semigroup.mean_zero(op, f.values), grid)
+    g = ScalarField(semigroup.mean_zero(op, g.values), grid)
     times = times or _duality_time_grid(grid)
     star = adjoint_operator(op)
     prof_f = semigroup.heat_profile(star, f, times, K=M)
@@ -265,10 +256,9 @@ def john_nirenberg_compare(
     M: int = 1,
     p_list: tuple = (1.5, 2.0, 3.0),
 ) -> JohnNirenbergReport:
-    """BMO_L^p norms across exponents with their pairwise ratios."""
-    norms = {
-        p: bmo_norm(f, op, M, "p", p).norm for p in p_list
-    }
+    """Heat BMO_L^p norms across exponents with their pairwise ratios."""
+    osc = _oscillation_fields(f, op, M, "heat")
+    norms = {p: _cube_sup(osc, op.grid, p)[1] for p in p_list}
     ratios = {}
     for p in p_list:
         for q in p_list:

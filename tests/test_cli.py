@@ -114,6 +114,23 @@ def test_non_dyadic_decompose_grid_is_config_error(tmp_path, capsys):
     assert_one_line_config_error(capsys, code)
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("assemble", {"coefficients": {"kind": "random", "lam": 3.0, "Lam": 2.0}}),
+        ("assemble", {"tolerances": {"residual": "x"}}),
+        ("functional", {"params": {"apertures": [0.5]}}),
+        ("assemble", {"params": {"apertures": 2}}),
+        ("assemble", {"grid": "64"}),
+        ("assemble", {"params": [1]}),
+        ("assemble", {"coefficients": "identity"}),
+    ],
+)
+def test_malformed_config_is_config_error(tmp_path, capsys, command, extra):
+    cfg = write_config(tmp_path, **extra)
+    assert_one_line_config_error(capsys, cli.main([command, "--config", str(cfg)]))
+
+
 def test_failed_assertion_exits_two(tmp_path):
     cfg = write_config(tmp_path, tolerances={"residual": 1e-12})
     assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_ASSERTION

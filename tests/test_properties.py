@@ -1,0 +1,47 @@
+"""Property tests of the assembled operator over random grids and coefficients."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hardy_lab import Grid, assemble_operator, check_ellipticity, random_elliptic_coefficients
+from hardy_lab.grid import DIRICHLET, PERIODIC
+
+
+@st.composite
+def operators(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    sizes = tuple(draw(st.integers(8, 16)) for _ in range(dim))
+    boundary = draw(st.sampled_from((PERIODIC, DIRICHLET)))
+    grid = Grid(dim, sizes, 1.0 / max(sizes), boundary)
+    lam = draw(st.floats(0.1, 1.0))
+    Lam = draw(st.floats(lam, 3.0))
+    coeff = random_elliptic_coefficients(grid, lam, Lam, draw(st.integers(0, 2**16)))
+    return assemble_operator(grid, coeff), coeff
+
+
+def random_fields(op, seed, count):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(count, op.n)) + 1j * rng.normal(size=(count, op.n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=operators(), seed=st.integers(0, 2**16))
+def test_adjoint_identity(pair, seed):
+    op, _ = pair
+    f, g = random_fields(op, seed, 2)
+    lhs = np.vdot(g, op.matrix @ f)  # <Lf, g>
+    rhs = np.vdot(op.adjoint_matrix @ g, f)  # <f, L*g>
+    scale = abs(op.matrix).sum(axis=1).max() * np.linalg.norm(f) * np.linalg.norm(g)
+    assert abs(lhs - rhs) <= 1e-13 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=operators(), seed=st.integers(0, 2**16))
+def test_accretivity_with_measured_lambda(pair, seed):
+    op, coeff = pair
+    (u,) = random_fields(op, seed, 1)
+    lam, _ = check_ellipticity(coeff)
+    form = np.vdot(u, op.matrix @ u).real  # Re <Lu, u>
+    grad_sq = float((np.abs(op.gradient(u)) ** 2).sum())
+    assert form >= lam * grad_sq * (1 - 1e-12)

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from hardy_lab import (
+    Grid,
     ScalarField,
     TimeGrid,
     assemble_operator,
@@ -23,6 +24,7 @@ from hardy_lab import (
     sqrt_apply,
 )
 from hardy_lab import semigroup
+from hardy_lab.grid import DIRICHLET
 from hardy_lab.semigroup import ConvergenceError, KernelComponentError
 from conftest import mean_zero_field
 
@@ -136,6 +138,44 @@ def test_neg_power_roundtrip(op1d_random, grid1d, field1d):
 def test_neg_power_rejects_kernel_component(op1d, grid1d):
     with pytest.raises(KernelComponentError):
         neg_power_apply(op1d, 1, ScalarField(np.ones(64, dtype=complex), grid1d))
+
+
+def test_neg_power_factorizes_sparse_bordered_matrix(monkeypatch, grid2d):
+    op = assemble_operator(grid2d, random_elliptic_coefficients(grid2d, 0.5, 2.0, seed=1))
+    seen = []
+    splu = semigroup.spla.splu
+
+    def recording_splu(mat, *args, **kwargs):
+        seen.append(mat)
+        return splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(semigroup.spla, "splu", recording_splu)
+    f = mean_zero_field(grid2d, seed=5)
+    out = neg_power_apply(op, 1, f).values
+    assert len(seen) == 1
+    # L bordered by the constants: no dense rank-one pin
+    assert seen[0].nnz <= op.matrix.nnz + 2 * op.n + 1
+    assert np.abs(op.matrix @ out - f.values).max() < 1e-10
+    assert abs(out.mean()) < 1e-12 * np.abs(out).max()
+
+
+def test_mean_zero_passes_dirichlet_fields_through():
+    grid = Grid(1, (64,), 1.0 / 64, DIRICHLET)
+    op = assemble_operator(grid, identity_coefficients(grid))
+    v = np.ones(64, dtype=complex)
+    assert semigroup.mean_zero(op, v) is v
+
+
+def test_mean_zero_projects_roundoff_mean(op1d, field1d):
+    v = field1d.values + 1e-12
+    out = semigroup.mean_zero(op1d, v)
+    assert abs(out.mean()) < 1e-16
+    assert np.abs(out - field1d.values).max() < 1e-15
+
+
+def test_mean_zero_rejects_kernel_component(op1d, field1d):
+    with pytest.raises(KernelComponentError):
+        semigroup.mean_zero(op1d, field1d.values + 1e-6)
 
 
 def test_poisson_squares_to_heat_of_sqrt(op1d, field1d):

@@ -19,6 +19,7 @@ from hardy_lab import (
     tent_norms,
 )
 from hardy_lab.functionals import SpaceTimeField
+from hardy_lab.semigroup import KernelComponentError
 from hardy_lab.spaces import carleson_sup_function
 from conftest import mean_zero_field
 
@@ -69,7 +70,7 @@ def test_carleson_quadratic_homogeneity(op1d, field1d):
 
 def test_bmo_p2_matches_heat_variant(op1d, field1d):
     heat = bmo_norm(field1d, op1d, M=1, variant="heat").norm
-    p2 = bmo_norm(field1d, op1d, M=1, variant="p", p=2.0).norm
+    p2 = john_nirenberg_compare(field1d, op1d, M=1).norms[2.0]
     assert p2 == pytest.approx(heat, rel=1e-12)
 
 
@@ -102,6 +103,15 @@ def test_duality_pair_recovers_inner_product(op1d_random, grid1d):
     direct = complex((f.values * np.conj(g.values)).sum() * grid1d.cell_volume)
     got = duality_pair(f, g, op1d_random, M=1)
     assert abs(got - direct) <= 1e-6 * abs(direct)
+
+
+def test_duality_pair_rejects_kernel_component(op1d_random, grid1d):
+    f = mean_zero_field(grid1d, seed=21)
+    shifted = ScalarField(f.values + 0.1, grid1d)
+    with pytest.raises(KernelComponentError):
+        duality_pair(shifted, f, op1d_random, M=1)
+    with pytest.raises(KernelComponentError):
+        duality_pair(f, shifted, op1d_random, M=1)
 
 
 def test_tent_duality_ratio_small():
