@@ -20,7 +20,7 @@ from .grid import (
     random_elliptic_coefficients,
     restricted_lp_norm,
 )
-from .operator import DiscreteOperator, adjoint_operator, assemble_operator
+from .operator import DiscreteOperator, assemble_operator
 from .semigroup import (
     GaffneyProfile,
     TimeGrid,

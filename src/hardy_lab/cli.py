@@ -257,19 +257,26 @@ def cmd_assemble(cfg: ExperimentConfig) -> None:
     print(f"assembled operator on {cfg.grid.sizes}, kernel_dim={op.kernel_dim}")
 
 
+def _h1_functionals(
+    f: ScalarField, op: DiscreteOperator, M: int, times: TimeGrid
+) -> dict:
+    """The heat and Poisson square and non-tangential maximal functions of f."""
+    return {
+        "s_h": square_function(f, op, ConeSpec(1.0), "heat", M, times),
+        "n_h": nontangential_max(f, op, "heat", 1.0, M, times),
+        "s_p": square_function(f, op, ConeSpec(1.0), "poisson_tderiv", M, times),
+        "n_p": nontangential_max(f, op, "poisson", 1.0, M, times),
+    }
+
+
 def cmd_functional(cfg: ExperimentConfig) -> None:
     op = cfg.operator()
     times = cfg.times()
     coords = cfg.grid.coords()
+    fields = cfg.fields(op)
     rows = []
-    for idx, f in enumerate(cfg.fields(op)):
-        outputs = {
-            "s_h": square_function(f, op, ConeSpec(1.0), "heat", cfg.M, times),
-            "n_h": nontangential_max(f, op, "heat", 1.0, cfg.M, times),
-            "s_p": square_function(f, op, ConeSpec(1.0), "poisson_tderiv", cfg.M, times),
-            "n_p": nontangential_max(f, op, "poisson", 1.0, cfg.M, times),
-        }
-        for tag, field in outputs.items():
+    for idx, f in enumerate(fields):
+        for tag, field in _h1_functionals(f, op, cfg.M, times).items():
             for node in range(cfg.grid.n_nodes):
                 rows.append(
                     (idx, tag, node)
@@ -283,9 +290,8 @@ def cmd_functional(cfg: ExperimentConfig) -> None:
         rows,
     )
     ap_rows = []
-    f0 = cfg.fields(op)[0]
-    prof = semigroup.heat_profile(op, f0, times, K=cfg.M)
-    F = SpaceTimeField(prof, cfg.grid, times, "heat")
+    prof = semigroup.heat_profile(op, fields[0], times, K=cfg.M)
+    F = SpaceTimeField(prof, cfg.grid, times)
     for alpha in cfg.apertures:
         rep = aperture_compare(F, alpha)
         _finite("aperture_compare", rep.ratio)
@@ -388,14 +394,15 @@ def cmd_bmo(cfg: ExperimentConfig) -> None:
     hr_ratios = []
     jn_spreads = []
     for idx, f in enumerate(fields):
-        heat = spaces.bmo_norm(f, op, cfg.M, "heat").norm
+        # the p = 2 norm of the John-Nirenberg family is the heat BMO norm
+        jn = spaces.john_nirenberg_compare(f, op, cfg.M)
+        heat = jn.norms[2.0]
         reso = spaces.bmo_norm(f, op, cfg.M, "resolvent").norm
         _finite("bmo", heat, reso)
         rows.append((idx, "heat", cfg.M, 2.0, heat))
         rows.append((idx, "resolvent", cfg.M, 2.0, reso))
         if reso > 0:
             hr_ratios.append(heat / reso)
-        jn = spaces.john_nirenberg_compare(f, op, cfg.M)
         for p, val in sorted(jn.norms.items()):
             rows.append((idx, "p", cfg.M, p, val))
         jn_spreads.append(_spread(list(jn.norms.values())))
@@ -509,33 +516,9 @@ def cmd_equivalence(cfg: ExperimentConfig) -> None:
         est = decomposition.h1_norm_estimate(
             f, op, cfg.M, cfg.p, cfg.eps, cfg.gamma, dec_times
         )
-        quantities = {
-            "h1_est": est.estimate,
-            "s_h": lp_norm(
-                square_function(f, op, ConeSpec(1.0), "heat", cfg.M, times).values,
-                cfg.grid,
-                1,
-            )
-            + l1,
-            "n_h": lp_norm(
-                nontangential_max(f, op, "heat", 1.0, cfg.M, times).values, cfg.grid, 1
-            )
-            + l1,
-            "s_p": lp_norm(
-                square_function(
-                    f, op, ConeSpec(1.0), "poisson_tderiv", cfg.M, times
-                ).values,
-                cfg.grid,
-                1,
-            )
-            + l1,
-            "n_p": lp_norm(
-                nontangential_max(f, op, "poisson", 1.0, cfg.M, times).values,
-                cfg.grid,
-                1,
-            )
-            + l1,
-        }
+        quantities = {"h1_est": est.estimate}
+        for tag, field in _h1_functionals(f, op, cfg.M, times).items():
+            quantities[tag] = lp_norm(field.values, cfg.grid, 1) + l1
         _finite("equivalence", *quantities.values())
         for q in EQUIVALENCE_QUANTITIES:
             table[q].append(quantities[q])

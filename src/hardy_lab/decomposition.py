@@ -18,8 +18,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.ndimage import distance_transform_edt
 
 from .grid import (
+    PERIODIC,
     Cube,
     Grid,
     GridError,
@@ -83,12 +85,24 @@ def density_expansion(O: np.ndarray, gamma: float, grid: Grid) -> np.ndarray:
 
 
 def dist_to_complement(grid: Grid, node_set: np.ndarray) -> np.ndarray:
-    """Per-node distance to the complement of the set (inf if it is empty)."""
-    node_set = np.asarray(node_set, dtype=int)
-    comp = np.setdiff1d(np.arange(grid.n_nodes), node_set, assume_unique=False)
-    if comp.size == 0:
+    """Per-node distance to the complement of the set (inf if it is empty).
+
+    An exact Euclidean distance transform of the set's indicator.  On a
+    periodic grid it runs on a 3x tiling per axis: the torus distance to a
+    node is attained by one of its images within half a period per axis,
+    and the middle copy sees all of those.
+    """
+    inside = np.zeros(grid.n_nodes, dtype=bool)
+    inside[np.asarray(node_set, dtype=int)] = True
+    if inside.all():
         return np.full(grid.n_nodes, np.inf)
-    return grid.distance_matrix()[:, comp].min(axis=1)
+    ind = inside.reshape(grid.sizes)
+    if grid.boundary == PERIODIC:
+        middle = tuple(slice(s, 2 * s) for s in grid.sizes)
+        dist = distance_transform_edt(np.tile(ind, (3,) * grid.dim))[middle]
+    else:
+        dist = distance_transform_edt(ind)
+    return dist.ravel() * grid.spacing
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +110,6 @@ class WhitneySet:
     """Dyadic cubes partitioning an open node set with distance comparability."""
 
     cubes: list
-    parent_open_set: np.ndarray
     overlap_bound: int
     covers_whole_grid: bool = False
 
@@ -112,9 +125,9 @@ def whitney_decompose(open_set: np.ndarray, grid: Grid) -> WhitneySet:
     _require_dyadic(grid)
     open_set = np.unique(np.asarray(open_set, dtype=int))
     if open_set.size == 0:
-        return WhitneySet([], open_set, 0)
+        return WhitneySet([], 0)
     if open_set.size == grid.n_nodes:
-        return WhitneySet([full_grid_cube(grid)], open_set, 1, covers_whole_grid=True)
+        return WhitneySet([full_grid_cube(grid)], 1, covers_whole_grid=True)
     in_open = np.zeros(grid.n_nodes, dtype=bool)
     in_open[open_set] = True
     dist = dist_to_complement(grid, open_set)
@@ -140,41 +153,28 @@ def whitney_decompose(open_set: np.ndarray, grid: Grid) -> WhitneySet:
             )
             stack.append(Cube(grid, anchor, half))
     cubes.sort(key=lambda c: (-c.nnodes, c.anchor))
-    return WhitneySet(cubes, open_set, 1)
-
-
-@dataclass(frozen=True, eq=False)
-class TentRegion:
-    """Space-time region above a node set: dist(x, complement) >= t."""
-
-    base_set: np.ndarray
-    dist: np.ndarray  # per-node distance to the complement of base_set
-    grid: Grid
-
-    def mask(self, times: TimeGrid) -> np.ndarray:
-        return self.dist[:, None] >= times.samples[None, :]
-
-
-def tent_region(grid: Grid, node_set: np.ndarray) -> TentRegion:
-    node_set = np.asarray(node_set, dtype=int)
-    return TentRegion(node_set, dist_to_complement(grid, node_set), grid)
+    return WhitneySet(cubes, 1)
 
 
 @dataclass(frozen=True, eq=False)
 class TruncatedTent:
-    """T_k^j: the cube column, inside one tent, outside the next level's tent."""
+    """T_k^j: the cube column, inside one tent, outside the next level's tent.
+
+    The tent above a node set is dist(x, complement) >= t; each tent is
+    held as that per-node distance.
+    """
 
     cube: Cube
-    tent_lower: TentRegion
-    tent_upper: TentRegion
+    dist_lower: np.ndarray
+    dist_upper: np.ndarray
 
     def mask(self, times: TimeGrid) -> np.ndarray:
         grid = self.cube.grid
         in_cube = np.zeros(grid.n_nodes, dtype=bool)
         in_cube[self.cube.node_set(0)] = True
         ts = times.samples[None, :]
-        lower = self.tent_lower.dist[:, None] >= ts
-        upper = self.tent_upper.dist[:, None] >= ts
+        lower = self.dist_lower[:, None] >= ts
+        upper = self.dist_upper[:, None] >= ts
         return in_cube[:, None] & lower & ~upper
 
 
@@ -183,7 +183,9 @@ def build_truncated_tents(
 ) -> TruncatedTent:
     """Membership region for one Whitney cube between consecutive levels."""
     grid = cube.grid
-    return TruncatedTent(cube, tent_region(grid, O_k_star), tent_region(grid, O_k1_star))
+    return TruncatedTent(
+        cube, dist_to_complement(grid, O_k_star), dist_to_complement(grid, O_k1_star)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -315,28 +317,17 @@ def molecular_norm(
     op: DiscreteOperator,
 ) -> float:
     """sup_i 2^{i(n - n/p + eps)} |Q|^{1 - 1/p} sum_{v=0}^M ||(l(Q)^2 L)^{-v} mu||_{L^p(S_i)}."""
-    grid = op.grid
-    n = grid.dim
-    imax = cube.max_annulus()
-    annuli = [cube.annulus(i) for i in range(imax + 1)]
-    ell2 = cube.sidelength**2
-    sums = np.zeros(imax + 1)
-    g = mu
-    for k in range(M + 1):
-        if k > 0:
-            g = semigroup.neg_power_apply(op, 1, g)
-            g = ScalarField(g.values / ell2, grid)
-        for i, nodes in enumerate(annuli):
-            sums[i] += restricted_lp_norm(g.values, grid, nodes, p)
-    best = 0.0
-    for i, nodes in enumerate(annuli):
-        if nodes.size == 0:
-            continue
-        best = max(
-            best,
-            2.0 ** (i * (n - n / p + eps)) * cube.volume ** (1.0 - 1.0 / p) * sums[i],
-        )
-    return best
+    n = op.grid.dim
+    sums: dict[int, float] = {}
+    for check in _annular_table(mu.values, cube, op, p, eps, M).checks:
+        sums[check.annulus] = sums.get(check.annulus, 0.0) + check.measured
+    return max(
+        (
+            2.0 ** (i * (n - n / p + eps)) * cube.volume ** (1.0 - 1.0 / p) * total
+            for i, total in sums.items()
+        ),
+        default=0.0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +344,6 @@ class DecompositionTerm:
 
 
 @dataclass(frozen=True, eq=False)
-class LevelInfo:
-    level: int
-    set_size: int
-    expanded_size: int
-    cube_count: int
-
-
-@dataclass(frozen=True, eq=False)
 class MolecularDecomposition:
     terms: list
     residual: ScalarField
@@ -369,7 +352,6 @@ class MolecularDecomposition:
     calderon: float
     global_molecule_constant: float
     s_h: ScalarField
-    levels: list
 
 
 def molecular_decompose(
@@ -392,7 +374,7 @@ def molecular_decompose(
         raise DegenerateFieldError(str(exc)) from exc
     f = ScalarField(v, grid)
     u = semigroup.heat_profile(op, f, times, K=1)
-    s_h = cone_integrate(SpaceTimeField(u, grid, times, "heat"), ConeSpec(1.0))
+    s_h = cone_integrate(SpaceTimeField(u, grid, times), ConeSpec(1.0))
     s = s_h.values.real
     smax = float(s.max())
     if smax == 0.0:
@@ -402,7 +384,7 @@ def molecular_decompose(
             )
         zero = ScalarField(np.zeros(grid.n_nodes), grid)
         return MolecularDecomposition(
-            [], zero, (times.t_min, times.t_max), 0.0, calderon_constant(M), 1.0, s_h, []
+            [], zero, (times.t_min, times.t_max), 0.0, calderon_constant(M), 1.0, s_h
         )
     pos = s[s > 0]
     kmin = math.floor(math.log2(float(pos.min())))
@@ -418,7 +400,6 @@ def molecular_decompose(
         o_k = np.nonzero(s > 2.0**k)[0]
         expanded[k] = density_expansion(o_k, gamma, grid) if o_k.size else o_k
 
-    levels: list[LevelInfo] = []
     recon = np.zeros(grid.n_nodes, dtype=complex)
     pending = []  # (level, cube index, weight, tent mask, cube)
     for k in range(kmin, kmax + 1):
@@ -426,10 +407,8 @@ def molecular_decompose(
         if o_star.size == 0:
             continue
         wset = whitney_decompose(o_star, grid)
-        lower = tent_region(grid, o_star)
-        upper = tent_region(grid, expanded[k + 1])
-        o_k_size = int((s > 2.0**k).sum())
-        levels.append(LevelInfo(k, o_k_size, o_star.size, len(wset.cubes)))
+        lower = dist_to_complement(grid, o_star)
+        upper = dist_to_complement(grid, expanded[k + 1])
         for j, cube in enumerate(wset.cubes):
             mask = TruncatedTent(cube, lower, upper).mask(times)
             if not mask.any():
@@ -472,7 +451,6 @@ def molecular_decompose(
         c_m,
         global_const,
         s_h,
-        levels,
     )
 
 

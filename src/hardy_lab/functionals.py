@@ -14,7 +14,6 @@ direct vectorized sums (desk scale), deterministic for fixed inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,21 +44,13 @@ MAXIMAL_KINDS = (
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Aperture and time truncation of the cone |x - y| < alpha * t.
-
-    Both truncation comparisons are inclusive so that the default window
-    (the time grid's own bounds) keeps every sample.
-    """
+    """Aperture of the cone |x - y| < alpha * t."""
 
     aperture: float = 1.0
-    t_lower: float = 0.0
-    t_upper: float = math.inf
 
     def __post_init__(self):
         if not self.aperture > 0:
             raise ValueError("aperture must be positive")
-        if not self.t_lower < self.t_upper:
-            raise ValueError("need t_lower < t_upper")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +60,6 @@ class SpaceTimeField:
     values: np.ndarray
     grid: Grid
     times: TimeGrid
-    integrand_tag: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -88,8 +78,6 @@ def cone_integrate(F: SpaceTimeField, cone: ConeSpec) -> ScalarField:
     absF2 = np.abs(F.values) ** 2
     out = np.zeros(grid.n_nodes)
     for j, t in enumerate(ts):
-        if not (cone.t_lower <= t <= cone.t_upper):
-            continue
         mask = dist < cone.aperture * t
         contrib = mask @ absF2[:, j]
         out += (wlog[j] * grid.cell_volume / t**n) * contrib
@@ -102,7 +90,6 @@ def _build_profile(
     kind: str,
     K: int,
     times: TimeGrid,
-    quad_nodes: int,
 ) -> np.ndarray:
     """Space-time magnitudes for one integrand kind; shape (N, T), real."""
     ts = times.samples
@@ -113,28 +100,28 @@ def _build_profile(
             raise ValueError("need K >= 1")
         return np.abs(semigroup.heat_profile(op, f, times, K))
     if kind in ("poisson_grad", "g_P"):
-        prof = semigroup.poisson_profile(op, f, times, quad_nodes)
+        prof = semigroup.poisson_profile(op, f, times)
         grad2 = sum(np.abs(g @ prof) ** 2 for g in op.grads)
         return np.sqrt(grad2) * ts[None, :]
     if kind == "poisson_K":
         if K < 1:
             raise ValueError("need K >= 1")
-        prof = semigroup.poisson_profile(op, f, times, quad_nodes)
+        prof = semigroup.poisson_profile(op, f, times)
         for _ in range(K):
             prof = (op.matrix @ prof) * (ts**2)[None, :]
         return np.abs(prof)
     if kind in ("poisson_tderiv", "g_P_bar"):
         root = semigroup.sqrt_apply(op, f)
-        prof = semigroup.poisson_profile(op, root, times, quad_nodes)
+        prof = semigroup.poisson_profile(op, root, times)
         return np.abs(prof) * ts[None, :]
     if kind == "poisson_full_grad":
-        prof = semigroup.poisson_profile(op, f, times, quad_nodes)
+        prof = semigroup.poisson_profile(op, f, times)
         grad2 = sum(np.abs(g @ prof) ** 2 for g in op.grads)
         root = semigroup.sqrt_apply(op, f)
-        tprof = semigroup.poisson_profile(op, root, times, quad_nodes)
+        tprof = semigroup.poisson_profile(op, root, times)
         return np.sqrt(grad2 + np.abs(tprof) ** 2) * ts[None, :]
     if kind == "g_P_aux":
-        pois = semigroup.poisson_profile(op, f, times, quad_nodes)
+        pois = semigroup.poisson_profile(op, f, times)
         heat = semigroup.heat_profile(op, f, times, 0)
         return np.abs(pois - heat)
     raise ValueError(f"unknown kind {kind!r}")
@@ -147,14 +134,13 @@ def square_function(
     kind: str = "heat",
     K: int = 1,
     times: TimeGrid | None = None,
-    quad_nodes: int = semigroup.DEFAULT_QUAD_NODES,
 ) -> ScalarField:
     """Cone square function of the chosen semigroup integrand."""
     if kind not in SQUARE_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     times = times or semigroup.default_time_grid(op.grid)
-    vals = _build_profile(f, op, kind, K, times, quad_nodes)
-    F = SpaceTimeField(vals, op.grid, times, integrand_tag=kind)
+    vals = _build_profile(f, op, kind, K, times)
+    F = SpaceTimeField(vals, op.grid, times)
     return cone_integrate(F, cone)
 
 
@@ -164,13 +150,12 @@ def vertical_square_function(
     kind: str = "g_h",
     M: int = 1,
     times: TimeGrid | None = None,
-    quad_nodes: int = semigroup.DEFAULT_QUAD_NODES,
 ) -> ScalarField:
     """Pointwise dt/t square function, no cone."""
     if kind not in VERTICAL_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     times = times or semigroup.default_time_grid(op.grid)
-    vals = _build_profile(f, op, kind, M, times, quad_nodes)
+    vals = _build_profile(f, op, kind, M, times)
     out = np.sqrt((np.abs(vals) ** 2) @ times.log_weights)
     return ScalarField(out, op.grid)
 
@@ -193,7 +178,6 @@ def nontangential_max(
     beta: float = 1.0,
     M: int = 1,
     times: TimeGrid | None = None,
-    quad_nodes: int = semigroup.DEFAULT_QUAD_NODES,
 ) -> ScalarField:
     """Non-tangential (or vertical sup) maximal function of a semigroup image.
 
@@ -213,7 +197,7 @@ def nontangential_max(
             raise ValueError("need M >= 1")
         prof = semigroup.heat_profile(op, f, times, M)
     else:  # poisson, poisson_star
-        prof = semigroup.poisson_profile(op, f, times, quad_nodes)
+        prof = semigroup.poisson_profile(op, f, times)
     if kind in ("heat", "poisson"):
         beta = 1.0
     grid = op.grid

@@ -103,9 +103,6 @@ class ScalarField:
             )
         object.__setattr__(self, "values", v)
 
-    def mean(self) -> complex:
-        return complex(self.values.mean())
-
 
 @dataclass(frozen=True, eq=False)
 class VectorField:
@@ -251,11 +248,6 @@ class Cube:
     @property
     def volume(self) -> float:
         return self.sidelength**self.grid.dim
-
-    @property
-    def center(self) -> tuple[float, ...]:
-        h = self.grid.spacing
-        return tuple((a + (self.nnodes - 1) / 2.0) * h for a in self.anchor)
 
     def _axis_nodes(self, a: int, start: int, count: int) -> np.ndarray:
         size = self.grid.sizes[a]

@@ -3,8 +3,8 @@
 The discrete operator is built as L = G^H A G where G stacks one forward
 difference per axis and A acts cellwise as the d x d coefficient matrix.
 This makes the sesquilinear form exact at the discrete level: the adjoint
-is the entrywise conjugate transpose and accretivity follows from
-ellipticity with the same constant.
+is the entrywise conjugate transpose (served by `semigroup.calculus(op).adjoint()`)
+and accretivity follows from ellipticity with the same constant.
 """
 
 from __future__ import annotations
@@ -54,10 +54,9 @@ def gradient_matrices(grid: Grid) -> tuple[sp.csr_matrix, ...]:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Sparse L with its exact adjoint and the gradient it was built from."""
+    """Sparse L and the gradient it was built from."""
 
     matrix: sp.csr_matrix
-    adjoint_matrix: sp.csr_matrix
     grid: Grid
     kernel_dim: int
     grads: tuple[sp.csr_matrix, ...]
@@ -66,16 +65,13 @@ class DiscreteOperator:
     def n(self) -> int:
         return self.grid.n_nodes
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """Discrete gradient, shape (dim, ...) matching the input columns."""
         return np.stack([g @ v for g in self.grads])
 
 
 def assemble_operator(grid: Grid, coeff: CoefficientField) -> DiscreteOperator:
-    """Second-order conservative stencil for -div(A grad), plus its adjoint."""
+    """Second-order conservative stencil for -div(A grad)."""
     if coeff.grid != grid:
         raise GridError("coefficient field lives on a different grid")
     check_ellipticity(coeff)
@@ -89,14 +85,5 @@ def assemble_operator(grid: Grid, coeff: CoefficientField) -> DiscreteOperator:
             mat = term if mat is None else mat + term
     mat = sp.csr_matrix(mat)
     mat.sort_indices()
-    adj = sp.csr_matrix(mat.conj().T)
-    adj.sort_indices()
     kernel_dim = 1 if grid.boundary == PERIODIC else 0
-    return DiscreteOperator(mat, adj, grid, kernel_dim, grads)
-
-
-def adjoint_operator(op: DiscreteOperator) -> DiscreteOperator:
-    """The operator L* with the roles of matrix and adjoint swapped."""
-    return DiscreteOperator(
-        op.adjoint_matrix, op.matrix, op.grid, op.kernel_dim, op.grads
-    )
+    return DiscreteOperator(mat, grid, kernel_dim, grads)

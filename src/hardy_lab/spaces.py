@@ -24,7 +24,7 @@ from .grid import (
     lp_norm,
     restricted_lp_norm,
 )
-from .operator import DiscreteOperator, adjoint_operator
+from .operator import DiscreteOperator
 from . import semigroup
 from .decomposition import dist_to_complement
 from .functionals import ConeSpec, SpaceTimeField, cone_integrate
@@ -123,25 +123,23 @@ def bmo_norm(
 # ---------------------------------------------------------------------------
 
 
-def _ball_tent_masses(
-    density: np.ndarray, grid: Grid, times: TimeGrid, balls: list
-) -> np.ndarray:
-    """integral of a space-time density over the tent above each ball.
+def _ball_tent_masses(density: np.ndarray, grid: Grid, times: TimeGrid) -> list:
+    """(ball, mass, mass / |ball|) for each ball of the family, sorted by
+    (sidelength, anchor); mass integrates a space-time density over the
+    tent above the ball.
 
     density has shape (N, T) and already carries |.|^2; the integral is
     against dy dt/t (trapezoid in log t, so the 1/t is in the weights).
     """
     ts = times.samples
     wlog = times.log_weights
-    masses = np.zeros(len(balls))
-    for b, cube in enumerate(balls):
-        nodes = cube.node_set(0)
-        dist = dist_to_complement(grid, nodes)
+    out = []
+    for cube in sorted(dyadic_cubes(grid), key=lambda c: (c.nnodes, c.anchor)):
+        dist = dist_to_complement(grid, cube.node_set(0))
         mask = dist[:, None] >= ts[None, :]
-        masses[b] = float(
-            ((mask * density).sum(axis=0) * wlog).sum() * grid.cell_volume
-        )
-    return masses
+        mass = float(((mask * density).sum(axis=0) * wlog).sum() * grid.cell_volume)
+        out.append((cube, mass, mass / cube.volume))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,28 +160,17 @@ def carleson_functional(
     grid = op.grid
     times = times or semigroup.default_time_grid(grid)
     prof = semigroup.heat_profile(op, f, times, K=M)
-    density = np.abs(prof) ** 2
-    balls = sorted(dyadic_cubes(grid), key=lambda c: (c.nnodes, c.anchor))
-    masses = _ball_tent_masses(density, grid, times, balls)
-    per_ball = []
-    best = 0.0
-    for cube, mass in zip(balls, masses):
-        ratio = mass / cube.volume
-        best = max(best, ratio)
-        per_ball.append((cube, mass, ratio))
-    return CarlesonReport(per_ball, best)
+    per_ball = _ball_tent_masses(np.abs(prof) ** 2, grid, times)
+    return CarlesonReport(per_ball, max((r for _, _, r in per_ball), default=0.0))
 
 
 def carleson_sup_function(F: SpaceTimeField) -> ScalarField:
     """C F(x): sup over family balls containing x of the tent-mean mass."""
     grid = F.grid
-    density = np.abs(F.values) ** 2
-    balls = sorted(dyadic_cubes(grid), key=lambda c: (c.nnodes, c.anchor))
-    masses = _ball_tent_masses(density, grid, F.times, balls)
     out = np.zeros(grid.n_nodes)
-    for cube, mass in zip(balls, masses):
+    for cube, _, ratio in _ball_tent_masses(np.abs(F.values) ** 2, grid, F.times):
         nodes = cube.node_set(0)
-        out[nodes] = np.maximum(out[nodes], mass / cube.volume)
+        out[nodes] = np.maximum(out[nodes], ratio)
     return ScalarField(np.sqrt(out), grid)
 
 
@@ -192,11 +179,8 @@ def tent_norms(F: SpaceTimeField) -> tuple[float, float]:
     over family balls of the root tent-mean mass."""
     s = cone_integrate(F, ConeSpec(1.0))
     t1 = lp_norm(s.values, F.grid, 1)
-    density = np.abs(F.values) ** 2
-    balls = dyadic_cubes(F.grid)
-    masses = _ball_tent_masses(density, F.grid, F.times, balls)
-    ratios = [m / c.volume for c, m in zip(balls, masses)]
-    tinf = math.sqrt(max(ratios, default=0.0))
+    per_ball = _ball_tent_masses(np.abs(F.values) ** 2, F.grid, F.times)
+    tinf = math.sqrt(max((r for _, _, r in per_ball), default=0.0))
     return t1, tinf
 
 
@@ -231,8 +215,8 @@ def duality_pair(
     f = ScalarField(semigroup.mean_zero(op, f.values), grid)
     g = ScalarField(semigroup.mean_zero(op, g.values), grid)
     times = times or _duality_time_grid(grid)
-    star = adjoint_operator(op)
-    prof_f = semigroup.heat_profile(star, f, times, K=M)
+    # L* comes from L's own calculus, so no second eigendecomposition
+    prof_f = semigroup.calculus(op).adjoint().heat_profile(times.samples, f.values, M)
     prof_g = semigroup.heat_profile(op, g, times, K=1)
     integrand = (prof_f * np.conj(prof_g)).sum(axis=0) * grid.cell_volume
     return complex(duality_constant(M) * (integrand @ times.log_weights))

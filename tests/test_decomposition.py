@@ -7,6 +7,7 @@ import pytest
 
 from hardy_lab import (
     Cube,
+    Grid,
     ScalarField,
     TimeGrid,
     calderon_constant,
@@ -64,6 +65,27 @@ def test_whitney_distance_comparability(grid1d):
             continue
         d = dist[cube.node_set(0)].min()
         assert cube.sidelength <= WHITNEY_C2 * d + 1e-12
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(1, (37,), 1.0 / 37),
+        Grid(1, (37,), 1.0 / 37, "dirichlet"),
+        Grid(2, (16, 11), 1.0 / 16),
+        Grid(2, (16, 11), 1.0 / 16, "dirichlet"),
+    ],
+    ids=lambda g: f"{g.dim}d-{g.boundary}",
+)
+def test_dist_to_complement_matches_distance_matrix(grid):
+    rng = np.random.default_rng(grid.n_nodes)
+    d = grid.distance_matrix()
+    for density in (0.1, 0.5, 0.9, 0.99):
+        node_set = np.nonzero(rng.random(grid.n_nodes) < density)[0]
+        comp = np.setdiff1d(np.arange(grid.n_nodes), node_set)
+        expected = d[:, comp].min(axis=1) if comp.size else np.full(grid.n_nodes, np.inf)
+        assert np.array_equal(dist_to_complement(grid, node_set), expected)
+    assert np.all(dist_to_complement(grid, np.arange(grid.n_nodes)) == np.inf)
 
 
 def test_whitney_full_grid_special_case(grid1d):

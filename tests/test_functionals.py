@@ -93,7 +93,7 @@ def test_square_function_sublinear(op1d, grid1d):
 
 def test_cone_norm_monotone_in_aperture(op1d, field1d):
     prof = semigroup.heat_profile(op1d, field1d, TIMES, K=1)
-    F = SpaceTimeField(prof, op1d.grid, TIMES, "heat")
+    F = SpaceTimeField(prof, op1d.grid, TIMES)
     norms = []
     for alpha in (1.0, 1.5, 2.0):
         rep = aperture_compare(F, alpha)
@@ -111,7 +111,7 @@ def test_unknown_kind_rejected(op1d, field1d):
 
 def test_aperture_below_one_rejected(op1d, field1d):
     prof = semigroup.heat_profile(op1d, field1d, TIMES, K=1)
-    F = SpaceTimeField(prof, op1d.grid, TIMES, "heat")
+    F = SpaceTimeField(prof, op1d.grid, TIMES)
     with pytest.raises(ValueError):
         aperture_compare(F, 0.5)
 

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardy_lab import Grid, assemble_operator, check_ellipticity, random_elliptic_coefficients
-from hardy_lab.grid import DIRICHLET, PERIODIC
+from hardy_lab.grid import DIRICHLET, PERIODIC, ScalarField
+from hardy_lab.semigroup import calculus
+from hardy_lab.spaces import duality_pair
 
 
 @st.composite
@@ -30,10 +32,10 @@ def random_fields(op, seed, count):
 def test_adjoint_identity(pair, seed):
     op, _ = pair
     f, g = random_fields(op, seed, 2)
-    lhs = np.vdot(g, op.matrix @ f)  # <Lf, g>
-    rhs = np.vdot(op.adjoint_matrix @ g, f)  # <f, L*g>
-    scale = abs(op.matrix).sum(axis=1).max() * np.linalg.norm(f) * np.linalg.norm(g)
-    assert abs(lhs - rhs) <= 1e-13 * scale
+    calc = calculus(op)
+    lhs = np.vdot(g, calc.heat(0.01, f))  # <e^{-sL} f, g>
+    rhs = np.vdot(calc.adjoint().heat(0.01, g), f)  # <f, e^{-sL*} g>
+    assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(f) * np.linalg.norm(g)
 
 
 @settings(max_examples=30, deadline=None)
@@ -45,3 +47,14 @@ def test_accretivity_with_measured_lambda(pair, seed):
     form = np.vdot(u, op.matrix @ u).real  # Re <Lu, u>
     grad_sq = float((np.abs(op.gradient(u)) ** 2).sum())
     assert form >= lam * grad_sq * (1 - 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=operators(), seed=st.integers(0, 2**16))
+def test_duality_identity(pair, seed):
+    op, _ = pair
+    f, g = random_fields(op, seed, 2)
+    f, g = (ScalarField(v - v.mean(), op.grid) for v in (f, g))
+    direct = np.vdot(g.values, f.values) * op.grid.cell_volume  # <f, g>
+    for M in (1, 2, 3):
+        assert abs(duality_pair(f, g, op, M) - direct) <= 1e-6 * abs(direct)

@@ -1,5 +1,6 @@
 """Functional calculus: heat, resolvent, Poisson, fractional powers."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -93,6 +94,20 @@ def test_heat_krylov_matches_dense(random_op, method):
     dense = apply(semigroup.DenseCalculus(random_op), v)
     krylov = apply(semigroup.KrylovCalculus(random_op), v)
     assert np.abs(krylov - dense).max() <= tol * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("backend", ["DenseCalculus", "KrylovCalculus"])
+@pytest.mark.parametrize("method", sorted(PARITY) + ["spectral_bounds"])
+def test_adjoint_matches_calculus_of_conjugate_transpose(random_op, backend, method):
+    v = mean_zero_field(random_op.grid, seed=3).values
+    apply = PARITY[method][0] if method in PARITY else lambda c, _: np.array(c.spectral_bounds())
+    calc = getattr(semigroup, backend)(random_op)
+    # factorize L first: the adjoint must not reuse these LU factors
+    calc.resolvent(0.01, v)
+    calc.neg_power(2, v)
+    star = dataclasses.replace(random_op, matrix=random_op.matrix.conj().T.tocsr())
+    direct = apply(getattr(semigroup, backend)(star), v)
+    assert np.abs(apply(calc.adjoint(), v) - direct).max() <= 1e-10 * np.abs(direct).max()
 
 
 def test_failed_eigenbasis_check_selects_krylov(monkeypatch, grid1d, field1d):

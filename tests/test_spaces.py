@@ -16,8 +16,10 @@ from hardy_lab import (
     identity_coefficients,
     john_nirenberg_compare,
     lp_norm,
+    random_elliptic_coefficients,
     tent_norms,
 )
+from hardy_lab import semigroup
 from hardy_lab.functionals import SpaceTimeField
 from hardy_lab.semigroup import KernelComponentError
 from hardy_lab.spaces import carleson_sup_function
@@ -105,6 +107,19 @@ def test_duality_pair_recovers_inner_product(op1d_random, grid1d):
     assert abs(got - direct) <= 1e-6 * abs(direct)
 
 
+def test_duality_pair_builds_one_eigendecomposition(monkeypatch, grid1d):
+    # a fresh operator: L* must come from L's eigenbasis, not a second eig
+    op = assemble_operator(grid1d, random_elliptic_coefficients(grid1d, 0.5, 2.0, seed=4))
+    builds = []
+    init = semigroup.DenseCalculus.__init__
+    monkeypatch.setattr(
+        semigroup.DenseCalculus, "__init__", lambda self, op: builds.append(init(self, op))
+    )
+    f, g = mean_zero_field(grid1d, seed=21), mean_zero_field(grid1d, seed=22)
+    duality_pair(f, g, op, M=1)
+    assert len(builds) == 1
+
+
 def test_duality_pair_rejects_kernel_component(op1d_random, grid1d):
     f = mean_zero_field(grid1d, seed=21)
     shifted = ScalarField(f.values + 0.1, grid1d)
@@ -123,8 +138,8 @@ def test_tent_duality_ratio_small():
     for _ in range(5):
         a = rng.normal(size=(32, 24)) + 1j * rng.normal(size=(32, 24))
         b = rng.normal(size=(32, 24)) + 1j * rng.normal(size=(32, 24))
-        F = SpaceTimeField(a, grid, times, "raw")
-        G = SpaceTimeField(b, grid, times, "raw")
+        F = SpaceTimeField(a, grid, times)
+        G = SpaceTimeField(b, grid, times)
         pairing = abs(
             complex(((a * np.conj(b)).sum(axis=0) * grid.cell_volume) @ times.log_weights)
         )
@@ -140,7 +155,7 @@ def test_carleson_sup_function_matches_norm(op1d, field1d):
     from hardy_lab import heat_profile
 
     prof = heat_profile(op1d, field1d, times, K=1)
-    F = SpaceTimeField(prof, op1d.grid, times, "heat")
+    F = SpaceTimeField(prof, op1d.grid, times)
     sup_field = carleson_sup_function(F)
     rep = carleson_functional(field1d, op1d, M=1, times=times)
     assert sup_field.values.max() ** 2 == pytest.approx(rep.carleson_norm, rel=1e-9)
