@@ -65,10 +65,6 @@ class AssertionFailure(RuntimeError):
     pass
 
 
-class NonConvergence(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -217,7 +213,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 def _finite(label: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
-            raise NonConvergence(f"{label}: non-finite value {v}")
+            raise semigroup.ConvergenceError(f"{label}: non-finite value {v}")
 
 
 def _write_metadata(cfg: ExperimentConfig, command: str) -> None:
@@ -257,15 +253,13 @@ def cmd_assemble(cfg: ExperimentConfig) -> None:
     print(f"assembled operator on {cfg.grid.sizes}, kernel_dim={op.kernel_dim}")
 
 
-def _h1_functionals(
-    f: ScalarField, op: DiscreteOperator, M: int, times: TimeGrid
-) -> dict:
+def _h1_functionals(f: ScalarField, op: DiscreteOperator, times: TimeGrid) -> dict:
     """The heat and Poisson square and non-tangential maximal functions of f."""
     return {
-        "s_h": square_function(f, op, ConeSpec(1.0), "heat", M, times),
-        "n_h": nontangential_max(f, op, "heat", 1.0, M, times),
-        "s_p": square_function(f, op, ConeSpec(1.0), "poisson_tderiv", M, times),
-        "n_p": nontangential_max(f, op, "poisson", 1.0, M, times),
+        "s_h": square_function(f, op, ConeSpec(1.0), "heat", times=times),
+        "n_h": nontangential_max(f, op, "heat", times=times),
+        "s_p": square_function(f, op, ConeSpec(1.0), "poisson_tderiv", times=times),
+        "n_p": nontangential_max(f, op, "poisson", times=times),
     }
 
 
@@ -276,7 +270,7 @@ def cmd_functional(cfg: ExperimentConfig) -> None:
     fields = cfg.fields(op)
     rows = []
     for idx, f in enumerate(fields):
-        for tag, field in _h1_functionals(f, op, cfg.M, times).items():
+        for tag, field in _h1_functionals(f, op, times).items():
             for node in range(cfg.grid.n_nodes):
                 rows.append(
                     (idx, tag, node)
@@ -317,9 +311,11 @@ def cmd_decompose(cfg: ExperimentConfig) -> None:
         rel = lp_norm(dec.residual.values, cfg.grid, 2) / lp_norm(f.values, cfg.grid, 2)
         _finite("decomposition residual", rel, dec.weight_sum)
         worst = max(worst, rel)
+        global_const = 1.0
         for term in dec.terms:
-            ok = term.molecule.report.passes if term.molecule.report else True
-            rows.append((idx, term.level, term.cube_index, term.weight, ok))
+            rep = decomposition.validate_molecule(term.molecule, op)
+            global_const = max(global_const, rep.max_ratio)
+            rows.append((idx, term.level, term.cube_index, term.weight, rep.passes))
         bundles.append(
             {
                 "field": idx,
@@ -331,7 +327,7 @@ def cmd_decompose(cfg: ExperimentConfig) -> None:
                 "truncation": list(dec.truncation),
                 "weight_sum": dec.weight_sum,
                 "residual_rel": rel,
-                "global_molecule_constant": dec.global_molecule_constant,
+                "global_molecule_constant": global_const,
                 "terms": [
                     {
                         "k": t.level,
@@ -513,11 +509,9 @@ def cmd_equivalence(cfg: ExperimentConfig) -> None:
     table = {q: [] for q in EQUIVALENCE_QUANTITIES}
     for idx, f in enumerate(cfg.fields(op)):
         l1 = lp_norm(f.values, cfg.grid, 1)
-        est = decomposition.h1_norm_estimate(
-            f, op, cfg.M, cfg.p, cfg.eps, cfg.gamma, dec_times
-        )
+        est = decomposition.h1_norm_estimate(f, op, cfg.M, cfg.gamma, dec_times)
         quantities = {"h1_est": est.estimate}
-        for tag, field in _h1_functionals(f, op, cfg.M, times).items():
+        for tag, field in _h1_functionals(f, op, times).items():
             quantities[tag] = lp_norm(field.values, cfg.grid, 1) + l1
         _finite("equivalence", *quantities.values())
         for q in EQUIVALENCE_QUANTITIES:
@@ -627,9 +621,6 @@ def main(argv: list | None = None) -> int:
     except AssertionFailure as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    except NonConvergence as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
     except (semigroup.ConvergenceError, RuntimeError) as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

@@ -53,13 +53,12 @@ def molecule_corpus(
     M: int = 1,
     eps: float = 1.0,
     p: float = 2.0,
-    kind: str = "heat",
 ) -> list:
     """Deterministic molecules seeded by bumps on randomly chosen cubes.
 
     Seeds are raised-cosine profiles supported in a cube of the dyadic
-    family, scaled to the admissible L^2 size, then pushed through the
-    cancellation factory at the cube's own sidelength.
+    family, scaled to the admissible L^2 size, then pushed through the heat
+    cancellation factor at the cube's own sidelength.
     """
     if count < 1:
         raise ValueError("empty corpus")
@@ -86,7 +85,7 @@ def molecule_corpus(
         raw *= cube.volume ** (-0.5) / (lp_norm(raw, grid, 2) * (1 + 1e-9))
         out.append(
             decomposition.make_molecule(
-                ScalarField(raw, grid), cube, op, M, kind, eps, p
+                ScalarField(raw, grid), cube, op, M, "heat", eps, p
             )
         )
     return out

@@ -7,15 +7,15 @@ with tent regions to cut the reproducing-formula integral
 
     f = C_M int_0^inf (t^2 L e^{-t^2 L})^{M+2} f dt/t
 
-into one molecule per (level, cube), with weight C_M 2^k |Q|.  Molecules
-are validated against the annular decay and negative-power cancellation
-bounds that define a (p, eps, M)-molecule.
+into one molecule per (level, cube), with weight C_M 2^k |Q|.
+validate_molecule checks a molecule against the annular decay and
+negative-power cancellation bounds that define a (p, eps, M)-molecule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
@@ -105,29 +105,20 @@ def dist_to_complement(grid: Grid, node_set: np.ndarray) -> np.ndarray:
     return dist.ravel() * grid.spacing
 
 
-@dataclass(frozen=True, eq=False)
-class WhitneySet:
-    """Dyadic cubes partitioning an open node set with distance comparability."""
-
-    cubes: list
-    overlap_bound: int
-    covers_whole_grid: bool = False
-
-
-def whitney_decompose(open_set: np.ndarray, grid: Grid) -> WhitneySet:
-    """Dyadic Whitney partition of a node set.
+def whitney_decompose(open_set: np.ndarray, grid: Grid) -> list:
+    """Dyadic Whitney partition of a node set, largest cubes first.
 
     Accepted cubes are maximal dyadic blocks contained in the set with
     sidelength at most WHITNEY_C2 times their distance to the complement;
     single-node blocks are exempt from the upper comparison (resolution
-    floor).  The output is a partition, so the overlap bound is 1.
+    floor).  The cubes partition the set, so they do not overlap.
     """
     _require_dyadic(grid)
     open_set = np.unique(np.asarray(open_set, dtype=int))
     if open_set.size == 0:
-        return WhitneySet([], 0)
+        return []
     if open_set.size == grid.n_nodes:
-        return WhitneySet([full_grid_cube(grid)], 1, covers_whole_grid=True)
+        return [full_grid_cube(grid)]
     in_open = np.zeros(grid.n_nodes, dtype=bool)
     in_open[open_set] = True
     dist = dist_to_complement(grid, open_set)
@@ -153,39 +144,22 @@ def whitney_decompose(open_set: np.ndarray, grid: Grid) -> WhitneySet:
             )
             stack.append(Cube(grid, anchor, half))
     cubes.sort(key=lambda c: (-c.nnodes, c.anchor))
-    return WhitneySet(cubes, 1)
+    return cubes
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedTent:
-    """T_k^j: the cube column, inside one tent, outside the next level's tent.
+def truncated_tent_mask(
+    cube: Cube, dist_lower: np.ndarray, dist_upper: np.ndarray, times: TimeGrid
+) -> np.ndarray:
+    """T_k^j over the time grid: the cube column, inside one tent, outside
+    the next level's tent; shape (N, T).
 
-    The tent above a node set is dist(x, complement) >= t; each tent is
-    held as that per-node distance.
+    The tent above a node set is dist(x, complement) >= t, so each tent is
+    given by the dist_to_complement of its set.
     """
-
-    cube: Cube
-    dist_lower: np.ndarray
-    dist_upper: np.ndarray
-
-    def mask(self, times: TimeGrid) -> np.ndarray:
-        grid = self.cube.grid
-        in_cube = np.zeros(grid.n_nodes, dtype=bool)
-        in_cube[self.cube.node_set(0)] = True
-        ts = times.samples[None, :]
-        lower = self.dist_lower[:, None] >= ts
-        upper = self.dist_upper[:, None] >= ts
-        return in_cube[:, None] & lower & ~upper
-
-
-def build_truncated_tents(
-    O_k_star: np.ndarray, O_k1_star: np.ndarray, cube: Cube
-) -> TruncatedTent:
-    """Membership region for one Whitney cube between consecutive levels."""
-    grid = cube.grid
-    return TruncatedTent(
-        cube, dist_to_complement(grid, O_k_star), dist_to_complement(grid, O_k1_star)
-    )
+    in_cube = np.zeros(cube.grid.n_nodes, dtype=bool)
+    in_cube[cube.node_set(0)] = True
+    ts = times.samples[None, :]
+    return in_cube[:, None] & (dist_lower[:, None] >= ts) & ~(dist_upper[:, None] >= ts)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +191,8 @@ class MoleculeReport:
 
 @dataclass(frozen=True, eq=False)
 class Molecule:
-    """A scalar field adapted to a cube with (p, eps, M) decay certificates."""
+    """A scalar field adapted to a cube; validate_molecule certifies its
+    (p, eps, M) decay."""
 
     field: ScalarField
     cube: Cube
@@ -225,7 +200,6 @@ class Molecule:
     eps: float
     M: int
     normalization: float
-    report: MoleculeReport | None = None
 
 
 def _annular_table(
@@ -260,7 +234,8 @@ def _annular_table(
 
 
 def validate_molecule(m: Molecule, op: DiscreteOperator) -> MoleculeReport:
-    """Checks the annular decay and cancellation bounds of a molecule."""
+    """Checks the annular decay and cancellation bounds of a molecule; the
+    one producer of its certificate."""
     if m.M < 1:
         raise ValueError("need M >= 1")
     return _annular_table(m.field.values, m.cube, op, m.p, m.eps, m.M)
@@ -303,9 +278,7 @@ def make_molecule(
     out = semigroup.mean_zero(op, out)
     raw = _annular_table(out, cube, op, p, eps, M)
     norm_const = raw.max_ratio if raw.max_ratio > 0 else 1.0
-    scaled = out / norm_const
-    report = _annular_table(scaled, cube, op, p, eps, M)
-    return Molecule(ScalarField(scaled, grid), cube, p, eps, M, norm_const, report)
+    return Molecule(ScalarField(out / norm_const, grid), cube, p, eps, M, norm_const)
 
 
 def molecular_norm(
@@ -350,8 +323,52 @@ class MolecularDecomposition:
     truncation: tuple[float, float]
     weight_sum: float
     calderon: float
-    global_molecule_constant: float
     s_h: ScalarField
+
+
+def _tents(
+    f: ScalarField, op: DiscreteOperator, M: int, gamma: float, times: TimeGrid
+) -> tuple:
+    """The tent stage: (mean-zero f, heat profile u, S_h f, tents), where
+    each tent is (level, cube index, weight C_M 2^k |Q|, mask, cube)."""
+    grid = op.grid
+    _require_dyadic(grid)
+    try:
+        v = semigroup.mean_zero(op, f.values)
+    except semigroup.KernelComponentError as exc:
+        raise DegenerateFieldError(str(exc)) from exc
+    u = semigroup.heat_profile(op, ScalarField(v, grid), times, K=1)
+    s_h = cone_integrate(SpaceTimeField(u, grid, times), ConeSpec(1.0))
+    s = s_h.values.real
+    smax = float(s.max())
+    if smax == 0.0:
+        if lp_norm(v, grid, 2) > 0:
+            raise DegenerateFieldError(
+                "square function vanishes identically on a nonzero field"
+            )
+        return v, u, s_h, []
+    pos = s[s > 0]
+    kmin = math.floor(math.log2(float(pos.min())))
+    kmax = math.ceil(math.log2(smax))
+    c_m = calderon_constant(M)
+
+    # per level: expanded sets, then Whitney cubes and their truncated tents
+    expanded: dict[int, np.ndarray] = {}
+    for k in range(kmin, kmax + 2):
+        o_k = np.nonzero(s > 2.0**k)[0]
+        expanded[k] = density_expansion(o_k, gamma, grid) if o_k.size else o_k
+    tents = []
+    for k in range(kmin, kmax + 1):
+        o_star = expanded[k]
+        if o_star.size == 0:
+            continue
+        lower = dist_to_complement(grid, o_star)
+        upper = dist_to_complement(grid, expanded[k + 1])
+        for j, cube in enumerate(whitney_decompose(o_star, grid)):
+            mask = truncated_tent_mask(cube, lower, upper, times)
+            if mask.any():
+                tents.append((k, j, c_m * 2.0**k * cube.volume, mask, cube))
+    return v, u, s_h, tents
 
 
 def molecular_decompose(
@@ -362,94 +379,48 @@ def molecular_decompose(
     eps: float = 1.0,
     gamma: float = 0.5,
     times: TimeGrid | None = None,
-    validate: bool = True,
 ) -> MolecularDecomposition:
-    """Level-set molecular decomposition of f with reconstruction residual."""
+    """Level-set molecular decomposition of f with reconstruction residual.
+
+    The molecules carry (p, eps, M) but no certificate: validate_molecule
+    computes it for a caller that reads it.
+    """
     grid = op.grid
-    _require_dyadic(grid)
     times = times or semigroup.default_time_grid(grid)
-    try:
-        v = semigroup.mean_zero(op, f.values)
-    except semigroup.KernelComponentError as exc:
-        raise DegenerateFieldError(str(exc)) from exc
-    f = ScalarField(v, grid)
-    u = semigroup.heat_profile(op, f, times, K=1)
-    s_h = cone_integrate(SpaceTimeField(u, grid, times), ConeSpec(1.0))
-    s = s_h.values.real
-    smax = float(s.max())
-    if smax == 0.0:
-        if lp_norm(v, grid, 2) > 0:
-            raise DegenerateFieldError(
-                "square function vanishes identically on a nonzero field"
-            )
-        zero = ScalarField(np.zeros(grid.n_nodes), grid)
-        return MolecularDecomposition(
-            [], zero, (times.t_min, times.t_max), 0.0, calderon_constant(M), 1.0, s_h
-        )
-    pos = s[s > 0]
-    kmin = math.floor(math.log2(float(pos.min())))
-    kmax = math.ceil(math.log2(smax))
+    v, u, s_h, tents = _tents(f, op, M, gamma, times)
     c_m = calderon_constant(M)
     calc = semigroup.calculus(op)
     ts = times.samples
     wlog = times.log_weights
 
-    # per level: expanded sets and Whitney cubes
-    expanded: dict[int, np.ndarray] = {}
-    for k in range(kmin, kmax + 2):
-        o_k = np.nonzero(s > 2.0**k)[0]
-        expanded[k] = density_expansion(o_k, gamma, grid) if o_k.size else o_k
-
-    recon = np.zeros(grid.n_nodes, dtype=complex)
-    pending = []  # (level, cube index, weight, tent mask, cube)
-    for k in range(kmin, kmax + 1):
-        o_star = expanded[k]
-        if o_star.size == 0:
-            continue
-        wset = whitney_decompose(o_star, grid)
-        lower = dist_to_complement(grid, o_star)
-        upper = dist_to_complement(grid, expanded[k + 1])
-        for j, cube in enumerate(wset.cubes):
-            mask = TruncatedTent(cube, lower, upper).mask(times)
-            if not mask.any():
-                continue
-            weight = c_m * 2.0**k * cube.volume
-            pending.append((k, j, weight, mask, cube))
-
     # integrate (t^2 L e^{-t^2 L})^{M+1} over each truncated tent, batched in
     # t; with u = (M+1) t^2 the integrand is (uL)^{M+1} e^{-uL} / (M+1)^{M+1}
-    raw = [np.zeros(grid.n_nodes, dtype=complex) for _ in pending]
+    raw = [np.zeros(grid.n_nodes, dtype=complex) for _ in tents]
     for jt, t in enumerate(ts):
-        active = [i for i, item in enumerate(pending) if item[3][:, jt].any()]
+        active = [i for i, item in enumerate(tents) if item[3][:, jt].any()]
         if not active:
             continue
         cols = np.stack(
-            [u[:, jt] * pending[i][3][:, jt] for i in active], axis=1
+            [u[:, jt] * tents[i][3][:, jt] for i in active], axis=1
         )
         out = calc.heat_poly(M + 1, (M + 1) * float(t * t), cols) / (M + 1) ** (M + 1)
         for pos_i, i in enumerate(active):
             raw[i] += wlog[jt] * out[:, pos_i]
 
+    recon = np.zeros(grid.n_nodes, dtype=complex)
     terms = []
-    global_const = 1.0
-    for (k, j, weight, _, cube), integral in zip(pending, raw):
+    for (k, j, weight, _, cube), integral in zip(tents, raw):
         mvals = integral * (c_m / weight)
         recon += weight * mvals
-        report = _annular_table(mvals, cube, op, p, eps, M) if validate else None
-        if report is not None:
-            global_const = max(global_const, report.max_ratio)
-        mol = Molecule(ScalarField(mvals, grid), cube, p, eps, M, 1.0, report)
+        mol = Molecule(ScalarField(mvals, grid), cube, p, eps, M, 1.0)
         terms.append(DecompositionTerm(k, j, weight, mol))
 
-    residual = ScalarField(f.values - recon, grid)
-    weight_sum = float(sum(t.weight for t in terms))
     return MolecularDecomposition(
         terms,
-        residual,
+        ScalarField(v - recon, grid),
         (times.t_min, times.t_max),
-        weight_sum,
+        float(sum(t.weight for t in terms)),
         c_m,
-        global_const,
         s_h,
     )
 
@@ -466,13 +437,16 @@ def h1_norm_estimate(
     f: ScalarField,
     op: DiscreteOperator,
     M: int = 1,
-    p: float = 2.0,
-    eps: float = 1.0,
     gamma: float = 0.5,
     times: TimeGrid | None = None,
 ) -> H1Estimate:
-    """Decomposition-based upper proxy for the molecular Hardy norm."""
-    dec = molecular_decompose(f, op, M, p, eps, gamma, times, validate=False)
+    """Decomposition-based upper proxy for the molecular Hardy norm.
+
+    The weights C_M 2^k |Q| come from the tent stage alone, so no molecule
+    is integrated; weight_sum equals molecular_decompose's exactly.
+    """
+    times = times or semigroup.default_time_grid(op.grid)
+    _, _, s_h, tents = _tents(f, op, M, gamma, times)
+    weight_sum = float(sum(weight for _, _, weight, _, _ in tents))
     l1 = lp_norm(f.values, op.grid, 1)
-    s_h_l1 = lp_norm(dec.s_h.values, op.grid, 1)
-    return H1Estimate(dec.weight_sum, l1, dec.weight_sum + l1, s_h_l1)
+    return H1Estimate(weight_sum, l1, weight_sum + l1, lp_norm(s_h.values, op.grid, 1))

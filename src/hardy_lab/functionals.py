@@ -25,21 +25,13 @@ from .semigroup import TimeGrid
 
 SQUARE_KINDS = (
     "heat",
-    "heat_K",
     "poisson_grad",
     "poisson_K",
     "poisson_tderiv",
     "poisson_full_grad",
 )
-VERTICAL_KINDS = ("g_h", "g_h_M", "g_P", "g_P_bar", "g_P_aux")
-MAXIMAL_KINDS = (
-    "heat",
-    "heat_beta",
-    "heat_star",
-    "heat_star_M",
-    "poisson",
-    "poisson_star",
-)
+VERTICAL_KINDS = ("g_h", "g_P", "g_P_bar", "g_P_aux")
+MAXIMAL_KINDS = ("heat", "heat_star", "heat_star_M", "poisson", "poisson_star")
 
 
 @dataclass(frozen=True)
@@ -94,8 +86,6 @@ def _build_profile(
     """Space-time magnitudes for one integrand kind; shape (N, T), real."""
     ts = times.samples
     if kind in ("heat", "g_h"):
-        return np.abs(semigroup.heat_profile(op, f, times, 1))
-    if kind in ("heat_K", "g_h_M"):
         if K < 1:
             raise ValueError("need K >= 1")
         return np.abs(semigroup.heat_profile(op, f, times, K))
@@ -135,7 +125,8 @@ def square_function(
     K: int = 1,
     times: TimeGrid | None = None,
 ) -> ScalarField:
-    """Cone square function of the chosen semigroup integrand."""
+    """Cone square function of the chosen semigroup integrand; K is the
+    power of t^2 L in the heat and poisson_K integrands."""
     if kind not in SQUARE_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     times = times or semigroup.default_time_grid(op.grid)
@@ -151,7 +142,8 @@ def vertical_square_function(
     M: int = 1,
     times: TimeGrid | None = None,
 ) -> ScalarField:
-    """Pointwise dt/t square function, no cone."""
+    """Pointwise dt/t square function, no cone; M is the power of t^2 L
+    in g_h."""
     if kind not in VERTICAL_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     times = times or semigroup.default_time_grid(op.grid)
@@ -183,14 +175,14 @@ def nontangential_max(
 
     Cone kinds take the sup over |x - y| < beta*t of the L^2 ball mean over
     B(y, beta*t); star kinds take the sup over t of the ball mean centered
-    at x with radius t.
+    at x with radius t.  M is the power of t^2 L in heat_star_M.
     """
     if kind not in MAXIMAL_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if not beta > 0:
         raise ValueError("aperture beta must be positive")
     times = times or semigroup.default_time_grid(op.grid)
-    if kind in ("heat", "heat_beta", "heat_star"):
+    if kind in ("heat", "heat_star"):
         prof = semigroup.heat_profile(op, f, times, 0)
     elif kind == "heat_star_M":
         if M < 1:
@@ -198,8 +190,6 @@ def nontangential_max(
         prof = semigroup.heat_profile(op, f, times, M)
     else:  # poisson, poisson_star
         prof = semigroup.poisson_profile(op, f, times)
-    if kind in ("heat", "poisson"):
-        beta = 1.0
     grid = op.grid
     g2 = np.abs(prof) ** 2
     dist = grid.distance_matrix()

@@ -328,9 +328,7 @@ def oracle_decomposition(ops) -> list:
     f -= f.mean()
     f /= lp_norm(f, grid, 2)
     times = TimeGrid(grid.spacing / 16, 4.0, 64)
-    dec = decomposition.molecular_decompose(
-        ScalarField(f, grid), op, M=1, times=times, validate=False
-    )
+    dec = decomposition.molecular_decompose(ScalarField(f, grid), op, M=1, times=times)
     resid = lp_norm(dec.residual.values, grid, 2)
     out.append(
         OracleResult("decomposition.reconstruction.1d_identity", resid <= 1e-3, resid, 1e-3)

@@ -80,13 +80,6 @@ def riesz_h1_experiment(molecules: list, op: DiscreteOperator) -> RieszH1Report:
     return RieszH1Report(rows, sup, ratio)
 
 
-@dataclass(frozen=True, eq=False)
-class CommutatorPoint:
-    t: float
-    measured_expansive: float  # T (I - e^{-tL})^M f
-    reference: float  # (t / dist^2)^M
-
-
 def gaffney_commutator_check(
     op: DiscreteOperator,
     T: str,
@@ -94,20 +87,18 @@ def gaffney_commutator_check(
     t: float,
     E: np.ndarray,
     F: np.ndarray,
-) -> CommutatorPoint:
+) -> float:
     """Off-diagonal norm of T composed with a semigroup commutator factor.
 
-    f is the L^2-normalized indicator of E; (I - e^{-tL})^M f is measured
-    through T on F and reported next to the reference decay
-    (t/dist(E,F)^2)^M.
+    f is the L^2-normalized indicator of E; returns the L^2(F) norm of
+    T (I - e^{-tL})^M f, which decays like (t/dist(E,F)^2)^M.
     """
     if T not in ("g_h", "riesz"):
         raise ValueError(f"unknown transform {T!r}")
     if M < 1:
         raise ValueError("need M >= 1")
     grid = op.grid
-    d = semigroup.set_distance(grid, E, F)
-    if not d > 0:
+    if not semigroup.set_distance(grid, E, F) > 0:
         raise ValueError("E and F must be separated")
     ind = np.zeros(grid.n_nodes, dtype=complex)
     ind[np.asarray(E, dtype=int)] = 1.0
@@ -123,8 +114,7 @@ def gaffney_commutator_check(
         out = riesz_apply(op, field).magnitude()
     else:
         out = vertical_square_function(field, op, "g_h").values
-    measured = restricted_lp_norm(out, grid, np.asarray(F, dtype=int), 2)
-    return CommutatorPoint(t, measured, (t / (d * d)) ** M)
+    return restricted_lp_norm(out, grid, np.asarray(F, dtype=int), 2)
 
 
 def commutator_slope(
@@ -136,7 +126,7 @@ def commutator_slope(
     t_values: np.ndarray,
 ) -> float:
     """Log-log slope of the measured commutator norm against t."""
-    pts = [gaffney_commutator_check(op, T, M, float(t), E, F) for t in t_values]
-    ys = np.maximum([p.measured_expansive for p in pts], 1e-300)
+    norms = [gaffney_commutator_check(op, T, M, float(t), E, F) for t in t_values]
+    ys = np.maximum(norms, 1e-300)
     slope = np.polyfit(np.log(np.asarray(t_values, dtype=float)), np.log(ys), 1)[0]
     return float(slope)

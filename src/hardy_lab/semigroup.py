@@ -80,13 +80,13 @@ class TimeGrid:
         return w
 
 
-def default_time_grid(grid: Grid, count: int = 64) -> TimeGrid:
-    """Times from a quarter mesh width up to four domain sides.
+def default_time_grid(grid: Grid) -> TimeGrid:
+    """64 times from a quarter mesh width up to four domain sides.
 
     Below grid scale and above domain scale every functional is resolution
     noise, so the range is clamped there.
     """
-    return TimeGrid(grid.spacing / 4.0, 4.0 * max(grid.side_lengths), count)
+    return TimeGrid(grid.spacing / 4.0, 4.0 * max(grid.side_lengths), 64)
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +426,8 @@ GAFFNEY_FAMILIES = ("heat", "t_heat_deriv", "grad_heat", "resolvent", "grad_reso
 class GaffneyProfile:
     """Measured L^2(E) -> L^2(F) decay of an operator family over time."""
 
-    family_tag: str
-    set_E: np.ndarray
-    set_F: np.ndarray
-    distance: float
     t_values: np.ndarray
     measured_norms: np.ndarray
-    fitted_c: float
     fitted_beta: float
 
 
@@ -466,11 +461,11 @@ def _family_apply(op: DiscreteOperator, family: str, t: float, f: ScalarField) -
     raise ValueError(f"unknown family {family!r}")
 
 
-def _fit_decay(dist: float, ts: np.ndarray, norms: np.ndarray) -> tuple[float, float]:
-    """Least-squares fit of log(norm) = log C - (dist^2/(c t))^beta."""
+def _fit_decay(dist: float, ts: np.ndarray, norms: np.ndarray) -> float:
+    """beta of the least-squares fit log(norm) = log C - (dist^2/(c t))^beta."""
     mask = np.isfinite(norms) & (norms > 1e-13)
     if mask.sum() < 5:
-        return math.nan, math.nan
+        return math.nan
     t, y = ts[mask], np.log(norms[mask])
 
     def model(tt, logc, c, beta):
@@ -486,8 +481,8 @@ def _fit_decay(dist: float, ts: np.ndarray, norms: np.ndarray) -> tuple[float, f
             maxfev=20000,
         )
     except RuntimeError:
-        return math.nan, math.nan
-    return float(popt[1]), float(popt[2])
+        return math.nan
+    return float(popt[2])
 
 
 def gaffney_profile(
@@ -497,7 +492,7 @@ def gaffney_profile(
     F: np.ndarray,
     times: TimeGrid,
 ) -> GaffneyProfile:
-    """Off-diagonal decay of one operator family, with a fitted (c, beta)."""
+    """Off-diagonal decay of one operator family, with a fitted beta."""
     E = np.asarray(E, dtype=int)
     F = np.asarray(F, dtype=int)
     if np.intersect1d(E, F).size:
@@ -511,5 +506,4 @@ def gaffney_profile(
     for j, t in enumerate(ts):
         mag = _family_apply(op, family, float(t), f)
         norms[j] = restricted_lp_norm(mag, op.grid, F, 2)
-    c, beta = _fit_decay(dist, ts, norms)
-    return GaffneyProfile(family, E, F, dist, ts, norms, c, beta)
+    return GaffneyProfile(ts, norms, _fit_decay(dist, ts, norms))

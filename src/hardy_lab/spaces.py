@@ -88,21 +88,22 @@ class BmoReport:
     variant: str
     M: int
     p: float
-    per_cube: list  # (cube, local value), sorted by (sidelength, anchor)
     norm: float
 
 
-def _cube_sup(osc: dict, grid: Grid, p: float) -> tuple[list, float]:
-    """Per-cube L^p means of the oscillation fields and their supremum."""
+def _cube_sup(osc: dict, grid: Grid, p: float) -> float:
+    """Supremum over the cube family of the L^p cube means of the
+    oscillation fields."""
     if not p > 1:
         raise ValueError("need p > 1")
-    per_cube = []
-    for cube in sorted(dyadic_cubes(grid), key=lambda c: (c.nnodes, c.anchor)):
-        nodes = cube.node_set(0)
-        local = restricted_lp_norm(osc[cube.sidelength], grid, nodes, p)
-        local /= cube.volume ** (1.0 / p)
-        per_cube.append((cube, local))
-    return per_cube, max((v for _, v in per_cube), default=0.0)
+    return max(
+        (
+            restricted_lp_norm(osc[cube.sidelength], grid, cube.node_set(0), p)
+            / cube.volume ** (1.0 / p)
+            for cube in dyadic_cubes(grid)
+        ),
+        default=0.0,
+    )
 
 
 def bmo_norm(
@@ -114,8 +115,7 @@ def bmo_norm(
 ) -> BmoReport:
     """sup over the dyadic cube family of the L^p cube mean of (I - A_l)^M f."""
     osc = _oscillation_fields(f, op, M, variant)
-    per_cube, norm = _cube_sup(osc, op.grid, p)
-    return BmoReport(variant, M, p, per_cube, norm)
+    return BmoReport(variant, M, p, _cube_sup(osc, op.grid, p))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,6 @@ def _ball_tent_masses(density: np.ndarray, grid: Grid, times: TimeGrid) -> list:
 
 @dataclass(frozen=True, eq=False)
 class CarlesonReport:
-    per_ball: list  # (cube, mass, mass / |B|)
     carleson_norm: float
 
 
@@ -161,7 +160,7 @@ def carleson_functional(
     times = times or semigroup.default_time_grid(grid)
     prof = semigroup.heat_profile(op, f, times, K=M)
     per_ball = _ball_tent_masses(np.abs(prof) ** 2, grid, times)
-    return CarlesonReport(per_ball, max((r for _, _, r in per_ball), default=0.0))
+    return CarlesonReport(max((r for _, _, r in per_ball), default=0.0))
 
 
 def carleson_sup_function(F: SpaceTimeField) -> ScalarField:
@@ -222,10 +221,10 @@ def duality_pair(
     return complex(duality_constant(M) * (integrand @ times.log_weights))
 
 
-def _duality_time_grid(grid: Grid, count: int = 128) -> TimeGrid:
+def _duality_time_grid(grid: Grid) -> TimeGrid:
     # wide window: the scalar profile must be integrated essentially over
     # (0, inf) for every eigenvalue of L to recover the inner product
-    return TimeGrid(grid.spacing / 256.0, 8.0 * max(grid.side_lengths), count)
+    return TimeGrid(grid.spacing / 256.0, 8.0 * max(grid.side_lengths), 128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +241,7 @@ def john_nirenberg_compare(
 ) -> JohnNirenbergReport:
     """Heat BMO_L^p norms across exponents with their pairwise ratios."""
     osc = _oscillation_fields(f, op, M, "heat")
-    norms = {p: _cube_sup(osc, op.grid, p)[1] for p in p_list}
+    norms = {p: _cube_sup(osc, op.grid, p) for p in p_list}
     ratios = {}
     for p in p_list:
         for q in p_list:

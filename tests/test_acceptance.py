@@ -30,6 +30,7 @@ from hardy_lab import (
     resolvent_apply,
     riesz_h1_experiment,
     square_function,
+    validate_molecule,
     vertical_square_function,
 )
 from hardy_lab import corpus as corpus_mod
@@ -132,11 +133,10 @@ def test_criterion_4_decomposition(capsys, lab):
         rel = lp_norm(dec.residual.values, g, 2) / lp_norm(f.values, g, 2)
         worst_resid = max(worst_resid, rel)
         ratios.append(dec.weight_sum / lp_norm(dec.s_h.values, g, 1))
-        for term in dec.terms:
-            all_valid = all_valid and (
-                term.molecule.report.max_ratio
-                <= dec.global_molecule_constant * (1 + 1e-9)
-            )
+        reports = [validate_molecule(term.molecule, op) for term in dec.terms]
+        global_const = max(1.0, *(rep.max_ratio for rep in reports))
+        for rep in reports:
+            all_valid = all_valid and rep.max_ratio <= global_const * (1 + 1e-9)
     c = 25.0
     ok = worst_resid <= 1e-3 and all_valid and max(ratios) <= c and min(ratios) >= 1 / c
     announce(
@@ -154,7 +154,7 @@ def test_criterion_5_equivalence(capsys, lab):
     table = {q: [] for q in ("h1", "s_h", "n_h", "s_p", "n_p")}
     for f in lab["corpus"]:
         l1 = lp_norm(f.values, g, 1)
-        dec = molecular_decompose(f, op, M=1, times=times, validate=False)
+        dec = molecular_decompose(f, op, M=1, times=times)
         table["h1"].append(dec.weight_sum + l1)
         table["s_h"].append(
             lp_norm(square_function(f, op, ConeSpec(1.0), "heat").values, g, 1) + l1

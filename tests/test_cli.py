@@ -131,6 +131,19 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, extra):
     assert_one_line_config_error(capsys, cli.main([command, "--config", str(cfg)]))
 
 
+def test_non_finite_norm_exits_four(tmp_path, capsys, monkeypatch):
+    class NanReport:
+        norm = float("nan")
+
+    monkeypatch.setattr(cli.spaces, "bmo_norm", lambda *args, **kwargs: NanReport())
+    cfg = write_config(tmp_path, grid={"sizes": [16, 16]}, corpus={"count": 1})
+    code = cli.main(["carleson", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NONCONVERGENCE
+    assert err.startswith("non-convergence: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_failed_assertion_exits_two(tmp_path):
     cfg = write_config(tmp_path, tolerances={"residual": 1e-12})
     assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_ASSERTION

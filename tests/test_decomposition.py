@@ -10,21 +10,26 @@ from hardy_lab import (
     Grid,
     ScalarField,
     TimeGrid,
+    assemble_operator,
     calderon_constant,
+    generate_corpus,
     h1_norm_estimate,
     lp_norm,
     make_molecule,
     molecular_decompose,
     molecular_norm,
+    molecule_corpus,
+    random_elliptic_coefficients,
     validate_molecule,
     whitney_decompose,
 )
+from hardy_lab import decomposition, semigroup
 from hardy_lab.decomposition import (
     WHITNEY_C2,
     DegenerateFieldError,
     SupportError,
-    build_truncated_tents,
     dist_to_complement,
+    truncated_tent_mask,
 )
 
 
@@ -49,18 +54,16 @@ def test_calderon_constant_value():
 
 def test_whitney_is_a_partition(grid1d):
     open_set = np.arange(10, 40)
-    ws = whitney_decompose(open_set, grid1d)
-    covered = np.concatenate([c.node_set(0) for c in ws.cubes])
+    cubes = whitney_decompose(open_set, grid1d)
+    covered = np.concatenate([c.node_set(0) for c in cubes])
     assert sorted(covered) == sorted(open_set)
     assert len(covered) == len(set(covered))
-    assert ws.overlap_bound == 1
 
 
 def test_whitney_distance_comparability(grid1d):
     open_set = np.arange(10, 40)
-    ws = whitney_decompose(open_set, grid1d)
     dist = dist_to_complement(grid1d, open_set)
-    for cube in ws.cubes:
+    for cube in whitney_decompose(open_set, grid1d):
         if cube.nnodes == 1:
             continue
         d = dist[cube.node_set(0)].min()
@@ -89,14 +92,13 @@ def test_dist_to_complement_matches_distance_matrix(grid):
 
 
 def test_whitney_full_grid_special_case(grid1d):
-    ws = whitney_decompose(np.arange(64), grid1d)
-    assert ws.covers_whole_grid
-    assert len(ws.cubes) == 1
+    cubes = whitney_decompose(np.arange(64), grid1d)
+    assert len(cubes) == 1
+    assert cubes[0].nnodes == 64
 
 
 def test_whitney_empty_set(grid1d):
-    ws = whitney_decompose(np.array([], dtype=int), grid1d)
-    assert ws.cubes == []
+    assert whitney_decompose(np.array([], dtype=int), grid1d) == []
 
 
 def test_truncated_tent_masks_are_disjoint_and_telescope(grid1d):
@@ -104,12 +106,14 @@ def test_truncated_tent_masks_are_disjoint_and_telescope(grid1d):
     upper = np.arange(20, 44)
     cube = Cube(grid1d, (24,), 8)
     times = TimeGrid(1e-3, 2.0, 32)
-    tent = build_truncated_tents(lower, upper, cube)
-    inner = build_truncated_tents(upper, np.array([], dtype=int), cube)
-    both = tent.mask(times) & inner.mask(times)
-    assert not both.any()
-    merged = build_truncated_tents(lower, np.array([], dtype=int), cube)
-    assert np.array_equal(tent.mask(times) | inner.mask(times), merged.mask(times))
+    d_lower, d_upper, d_empty = (
+        dist_to_complement(grid1d, s) for s in (lower, upper, np.array([], dtype=int))
+    )
+    tent = truncated_tent_mask(cube, d_lower, d_upper, times)
+    inner = truncated_tent_mask(cube, d_upper, d_empty, times)
+    assert not (tent & inner).any()
+    merged = truncated_tent_mask(cube, d_lower, d_empty, times)
+    assert np.array_equal(tent | inner, merged)
 
 
 def test_decompose_reconstructs(op1d, grid1d):
@@ -122,9 +126,7 @@ def test_decompose_reconstructs(op1d, grid1d):
 
 def test_decompose_weight_formula_exact(op1d, grid1d):
     f = bump_field(grid1d)
-    dec = molecular_decompose(
-        f, op1d, M=1, times=decomposition_times(grid1d), validate=False
-    )
+    dec = molecular_decompose(f, op1d, M=1, times=decomposition_times(grid1d))
     c1 = calderon_constant(1)
     for term in dec.terms:
         expected = c1 * 2.0**term.level * term.molecule.cube.volume
@@ -135,9 +137,7 @@ def test_decompose_residual_shrinks_with_quadrature(op1d, grid1d):
     f = bump_field(grid1d)
     residuals = []
     for count in (16, 32, 64):
-        dec = molecular_decompose(
-            f, op1d, M=1, times=decomposition_times(grid1d, count), validate=False
-        )
+        dec = molecular_decompose(f, op1d, M=1, times=decomposition_times(grid1d, count))
         residuals.append(lp_norm(dec.residual.values, grid1d, 2))
     assert residuals[0] > residuals[1] > residuals[2]
 
@@ -147,8 +147,8 @@ def test_decompose_scaling_quantized(op1d, grid1d):
     c = 3.0
     cf = ScalarField(c * f.values, grid1d)
     times = decomposition_times(grid1d)
-    base = molecular_decompose(f, op1d, M=1, times=times, validate=False)
-    scaled = molecular_decompose(cf, op1d, M=1, times=times, validate=False)
+    base = molecular_decompose(f, op1d, M=1, times=times)
+    scaled = molecular_decompose(cf, op1d, M=1, times=times)
     ratio = scaled.weight_sum / base.weight_sum
     # weights move by whole powers of two, so scaling is tracked only up to
     # a factor-2 quantization either way
@@ -166,8 +166,9 @@ def test_decompose_validates_molecules(op1d, grid1d):
     f = bump_field(grid1d)
     dec = molecular_decompose(f, op1d, M=1, times=decomposition_times(grid1d))
     assert dec.terms
-    assert all(t.molecule.report is not None for t in dec.terms)
-    assert dec.global_molecule_constant > 0
+    reports = [validate_molecule(t.molecule, op1d) for t in dec.terms]
+    assert all(rep.checks for rep in reports)
+    assert max(1.0, *(rep.max_ratio for rep in reports)) > 0
 
 
 @pytest.mark.parametrize("kind", ["heat", "resolvent"])
@@ -214,3 +215,46 @@ def test_h1_estimate_dominates_l1(op1d, grid1d):
     assert est.estimate >= est.l1_norm
     assert est.s_h_l1 > 0
     assert est.estimate == pytest.approx(est.weight_sum + est.l1_norm)
+
+
+def counting(monkeypatch, owner, name):
+    """Replaces owner.name with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def random_op_16x16():
+    grid = Grid(2, (16, 16), 1.0 / 16)
+    return assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, 1))
+
+
+@pytest.mark.parametrize("which", ["1d", "16x16-random"])
+def test_h1_estimate_reads_only_the_tents(monkeypatch, op1d, grid1d, which):
+    if which == "1d":
+        op, f = op1d, bump_field(grid1d)
+    else:
+        op = random_op_16x16()
+        f = generate_corpus(op, "standard", 1, 0)[0]
+    times = decomposition_times(op.grid)
+    dec = molecular_decompose(f, op, M=1, times=times)
+    krylov = counting(monkeypatch, semigroup.KrylovCalculus, "heat_poly")
+    dense = counting(monkeypatch, semigroup.DenseCalculus, "heat_poly")
+    est = h1_norm_estimate(f, op, times=times)
+    assert krylov == dense == []
+    assert est.weight_sum == dec.weight_sum
+    assert est.s_h_l1 == lp_norm(dec.s_h.values, op.grid, 1)
+
+
+def test_molecule_corpus_builds_two_annular_tables_per_molecule(monkeypatch, op1d_random):
+    calls = counting(monkeypatch, decomposition, "_annular_table")
+    mols = molecule_corpus(op1d_random, 3, 7, M=1)
+    for mol in mols:
+        assert validate_molecule(mol, op1d_random).passes
+    assert len(calls) == 2 * len(mols)

@@ -11,6 +11,7 @@ from hardy_lab import (
     SpaceTimeField,
     TimeGrid,
     aperture_compare,
+    cone_integrate,
     hl_maximal,
     lp_norm,
     nontangential_max,
@@ -107,6 +108,22 @@ def test_unknown_kind_rejected(op1d, field1d):
         square_function(field1d, op1d, ConeSpec(1.0), "no_such_kind")
     with pytest.raises(ValueError):
         nontangential_max(field1d, op1d, "no_such_kind")
+
+
+def test_heat_kinds_honour_their_parameters(op1d_random, field1d):
+    op = op1d_random
+    prof = semigroup.heat_profile(op, field1d, TIMES, K=2)
+    expected = cone_integrate(SpaceTimeField(np.abs(prof), op.grid, TIMES), ConeSpec(1.0))
+    s2 = square_function(field1d, op, ConeSpec(1.0), "heat", 2, TIMES)
+    assert np.array_equal(s2.values, expected.values)
+    g1 = vertical_square_function(field1d, op, "g_h", 1, TIMES).values
+    g2 = vertical_square_function(field1d, op, "g_h", 2, TIMES).values
+    assert not np.allclose(g1, g2)
+    n1 = nontangential_max(field1d, op, "heat", 1.0, 1, TIMES).values
+    n2 = nontangential_max(field1d, op, "heat", 2.0, 1, TIMES).values
+    assert not np.allclose(n1, n2)
+    with pytest.raises(ValueError):
+        square_function(field1d, op, ConeSpec(1.0), "heat", 0, TIMES)
 
 
 def test_aperture_below_one_rejected(op1d, field1d):
