@@ -52,7 +52,6 @@ from .decomposition import (
     h1_norm_estimate,
     make_molecule,
     molecular_decompose,
-    molecular_norm,
     validate_molecule,
     whitney_decompose,
 )

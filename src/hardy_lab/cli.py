@@ -92,7 +92,6 @@ class ExperimentConfig:
     def __init__(self, obj: dict, overrides: argparse.Namespace):
         if not isinstance(obj, dict):
             raise ConfigError("config root must be a JSON object")
-        self.raw = obj
         self.grid = self._build_grid(_section(obj, "grid"), overrides.grid)
         self.coeff_spec = _section(obj, "coefficients")
         self.times_spec = _section(obj, "times")
@@ -254,12 +253,17 @@ def cmd_assemble(cfg: ExperimentConfig) -> None:
 
 
 def _h1_functionals(f: ScalarField, op: DiscreteOperator, times: TimeGrid) -> dict:
-    """The heat and Poisson square and non-tangential maximal functions of f."""
+    """The heat and Poisson square and non-tangential maximal functions of f.
+
+    n_p goes first: a Krylov calculus refuses the Poisson semigroup at once,
+    before the heat functionals spend minutes in Krylov actions.
+    """
+    n_p = nontangential_max(f, op, "poisson", times=times)
     return {
         "s_h": square_function(f, op, ConeSpec(1.0), "heat", times=times),
         "n_h": nontangential_max(f, op, "heat", times=times),
         "s_p": square_function(f, op, ConeSpec(1.0), "poisson_tderiv", times=times),
-        "n_p": nontangential_max(f, op, "poisson", times=times),
+        "n_p": n_p,
     }
 
 
@@ -509,9 +513,10 @@ def cmd_equivalence(cfg: ExperimentConfig) -> None:
     table = {q: [] for q in EQUIVALENCE_QUANTITIES}
     for idx, f in enumerate(cfg.fields(op)):
         l1 = lp_norm(f.values, cfg.grid, 1)
+        functionals = _h1_functionals(f, op, times)  # first, see its docstring
         est = decomposition.h1_norm_estimate(f, op, cfg.M, cfg.gamma, dec_times)
         quantities = {"h1_est": est.estimate}
-        for tag, field in _h1_functionals(f, op, times).items():
+        for tag, field in functionals.items():
             quantities[tag] = lp_norm(field.values, cfg.grid, 1) + l1
         _finite("equivalence", *quantities.values())
         for q in EQUIVALENCE_QUANTITIES:
@@ -615,13 +620,19 @@ def main(argv: list | None = None) -> int:
         cfg.out.mkdir(parents=True, exist_ok=True)
         _write_metadata(cfg, args.command)
         COMMANDS[args.command](cfg)
-    except (ConfigError, GridError, NonEllipticError) as exc:
+    except (
+        ConfigError,
+        GridError,
+        NonEllipticError,
+        semigroup.KernelComponentError,
+        decomposition.DegenerateFieldError,
+    ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AssertionFailure as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    except (semigroup.ConvergenceError, RuntimeError) as exc:
+    except RuntimeError as exc:  # semigroup.ConvergenceError among them
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     return EXIT_OK

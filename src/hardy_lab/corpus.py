@@ -85,7 +85,7 @@ def molecule_corpus(
         raw *= cube.volume ** (-0.5) / (lp_norm(raw, grid, 2) * (1 + 1e-9))
         out.append(
             decomposition.make_molecule(
-                ScalarField(raw, grid), cube, op, M, "heat", eps, p
+                ScalarField(raw, grid), cube, op, M, eps, p
             )
         )
     return out

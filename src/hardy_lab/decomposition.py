@@ -246,15 +246,12 @@ def make_molecule(
     cube: Cube,
     op: DiscreteOperator,
     M: int,
-    kind: str = "heat",
     eps: float = 1.0,
     p: float = 2.0,
 ) -> Molecule:
-    """Hand-built molecule from a seed supported in a cube.
-
-    kind "heat" applies (l(Q)^2 L)^M e^{-l(Q)^2 L}; kind "resolvent" applies
-    (I - (I + l(Q)^2 L)^{-1})^M.  The result is scaled by the smallest
-    constant making the (p, eps, M) bounds hold on all computable annuli.
+    """Hand-built molecule (l(Q)^2 L)^M e^{-l(Q)^2 L} from a seed supported
+    in a cube, scaled by the smallest constant making the (p, eps, M) bounds
+    hold on all computable annuli.
     """
     grid = op.grid
     v = f_on_Q.values
@@ -264,43 +261,13 @@ def make_molecule(
         raise SupportError("seed has support outside the cube")
     if lp_norm(v, grid, 2) > cube.volume ** (-0.5) * (1 + 1e-9):
         raise ValueError("seed L2 norm exceeds |Q|^{-1/2}")
-    ell = cube.sidelength
-    if kind == "heat":
-        out = semigroup.heat_power_apply(op, ell, M, f_on_Q).values
-    elif kind == "resolvent":
-        out = v.copy()
-        for _ in range(M):
-            out = out - semigroup.resolvent_apply(op, ell, ScalarField(out, grid)).values
-    else:
-        raise ValueError(f"unknown molecule kind {kind!r}")
+    out = semigroup.heat_power_apply(op, cube.sidelength, M, f_on_Q).values
     # the cancellation factor annihilates constants exactly; remove the
     # roundoff-level mean so the inverse-power chain stays well posed
     out = semigroup.mean_zero(op, out)
     raw = _annular_table(out, cube, op, p, eps, M)
     norm_const = raw.max_ratio if raw.max_ratio > 0 else 1.0
     return Molecule(ScalarField(out / norm_const, grid), cube, p, eps, M, norm_const)
-
-
-def molecular_norm(
-    mu: ScalarField,
-    p: float,
-    eps: float,
-    M: int,
-    cube: Cube,
-    op: DiscreteOperator,
-) -> float:
-    """sup_i 2^{i(n - n/p + eps)} |Q|^{1 - 1/p} sum_{v=0}^M ||(l(Q)^2 L)^{-v} mu||_{L^p(S_i)}."""
-    n = op.grid.dim
-    sums: dict[int, float] = {}
-    for check in _annular_table(mu.values, cube, op, p, eps, M).checks:
-        sums[check.annulus] = sums.get(check.annulus, 0.0) + check.measured
-    return max(
-        (
-            2.0 ** (i * (n - n / p + eps)) * cube.volume ** (1.0 - 1.0 / p) * total
-            for i, total in sums.items()
-        ),
-        default=0.0,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,7 @@ from .operator import DiscreteOperator
 from . import semigroup
 from .semigroup import TimeGrid
 
-SQUARE_KINDS = (
-    "heat",
-    "poisson_grad",
-    "poisson_K",
-    "poisson_tderiv",
-    "poisson_full_grad",
-)
-VERTICAL_KINDS = ("g_h", "g_P", "g_P_bar", "g_P_aux")
-MAXIMAL_KINDS = ("heat", "heat_star", "heat_star_M", "poisson", "poisson_star")
+MAXIMAL_KINDS = ("heat", "poisson")
 
 
 @dataclass(frozen=True)
@@ -84,36 +76,13 @@ def _build_profile(
     times: TimeGrid,
 ) -> np.ndarray:
     """Space-time magnitudes for one integrand kind; shape (N, T), real."""
-    ts = times.samples
-    if kind in ("heat", "g_h"):
+    if kind == "heat":
         if K < 1:
             raise ValueError("need K >= 1")
         return np.abs(semigroup.heat_profile(op, f, times, K))
-    if kind in ("poisson_grad", "g_P"):
-        prof = semigroup.poisson_profile(op, f, times)
-        grad2 = sum(np.abs(g @ prof) ** 2 for g in op.grads)
-        return np.sqrt(grad2) * ts[None, :]
-    if kind == "poisson_K":
-        if K < 1:
-            raise ValueError("need K >= 1")
-        prof = semigroup.poisson_profile(op, f, times)
-        for _ in range(K):
-            prof = (op.matrix @ prof) * (ts**2)[None, :]
-        return np.abs(prof)
-    if kind in ("poisson_tderiv", "g_P_bar"):
+    if kind == "poisson_tderiv":
         root = semigroup.sqrt_apply(op, f)
-        prof = semigroup.poisson_profile(op, root, times)
-        return np.abs(prof) * ts[None, :]
-    if kind == "poisson_full_grad":
-        prof = semigroup.poisson_profile(op, f, times)
-        grad2 = sum(np.abs(g @ prof) ** 2 for g in op.grads)
-        root = semigroup.sqrt_apply(op, f)
-        tprof = semigroup.poisson_profile(op, root, times)
-        return np.sqrt(grad2 + np.abs(tprof) ** 2) * ts[None, :]
-    if kind == "g_P_aux":
-        pois = semigroup.poisson_profile(op, f, times)
-        heat = semigroup.heat_profile(op, f, times, 0)
-        return np.abs(pois - heat)
+        return np.abs(semigroup.poisson_profile(op, root, times)) * times.samples[None, :]
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -125,10 +94,8 @@ def square_function(
     K: int = 1,
     times: TimeGrid | None = None,
 ) -> ScalarField:
-    """Cone square function of the chosen semigroup integrand; K is the
-    power of t^2 L in the heat and poisson_K integrands."""
-    if kind not in SQUARE_KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
+    """Cone square function of the heat integrand (t^2 L)^K e^{-t^2 L} f or
+    the Poisson integrand t sqrt(L) e^{-t sqrt(L)} f (kind "poisson_tderiv")."""
     times = times or semigroup.default_time_grid(op.grid)
     vals = _build_profile(f, op, kind, K, times)
     F = SpaceTimeField(vals, op.grid, times)
@@ -138,16 +105,12 @@ def square_function(
 def vertical_square_function(
     f: ScalarField,
     op: DiscreteOperator,
-    kind: str = "g_h",
     M: int = 1,
     times: TimeGrid | None = None,
 ) -> ScalarField:
-    """Pointwise dt/t square function, no cone; M is the power of t^2 L
-    in g_h."""
-    if kind not in VERTICAL_KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
+    """Pointwise dt/t square function g_h, no cone; M is the power of t^2 L."""
     times = times or semigroup.default_time_grid(op.grid)
-    vals = _build_profile(f, op, kind, M, times)
+    vals = _build_profile(f, op, "heat", M, times)
     out = np.sqrt((np.abs(vals) ** 2) @ times.log_weights)
     return ScalarField(out, op.grid)
 
@@ -168,43 +131,35 @@ def nontangential_max(
     op: DiscreteOperator,
     kind: str = "heat",
     beta: float = 1.0,
-    M: int = 1,
+    M: int = 0,
     times: TimeGrid | None = None,
 ) -> ScalarField:
-    """Non-tangential (or vertical sup) maximal function of a semigroup image.
+    """Non-tangential maximal function of a semigroup image.
 
-    Cone kinds take the sup over |x - y| < beta*t of the L^2 ball mean over
-    B(y, beta*t); star kinds take the sup over t of the ball mean centered
-    at x with radius t.  M is the power of t^2 L in heat_star_M.
+    Takes the sup over |x - y| < beta*t of the L^2 ball mean over
+    B(y, beta*t).  M is the power of t^2 L on the heat image; the Poisson
+    image takes none.
     """
     if kind not in MAXIMAL_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if not beta > 0:
         raise ValueError("aperture beta must be positive")
+    if M < 0 or (kind == "poisson" and M):
+        raise ValueError("need M >= 0, and M = 0 for the Poisson image")
     times = times or semigroup.default_time_grid(op.grid)
-    if kind in ("heat", "heat_star"):
-        prof = semigroup.heat_profile(op, f, times, 0)
-    elif kind == "heat_star_M":
-        if M < 1:
-            raise ValueError("need M >= 1")
+    if kind == "heat":
         prof = semigroup.heat_profile(op, f, times, M)
-    else:  # poisson, poisson_star
+    else:
         prof = semigroup.poisson_profile(op, f, times)
     grid = op.grid
     g2 = np.abs(prof) ** 2
     dist = grid.distance_matrix()
-    ts = times.samples
     best = np.zeros(grid.n_nodes)
-    for j, t in enumerate(ts):
-        if kind in ("heat_star", "heat_star_M", "poisson_star"):
-            avg = _ball_averages(grid, g2[:, j], t)
-            best = np.maximum(best, avg)
-        else:
-            r = beta * t
-            avg = _ball_averages(grid, g2[:, j], r)
-            cone = dist < r
-            cand = np.where(cone, avg[None, :], -np.inf).max(axis=1)
-            best = np.maximum(best, np.where(np.isfinite(cand), cand, 0.0))
+    for j, t in enumerate(times.samples):
+        r = beta * t
+        avg = _ball_averages(grid, g2[:, j], r)
+        cand = np.where(dist < r, avg[None, :], -np.inf).max(axis=1)
+        best = np.maximum(best, np.where(np.isfinite(cand), cand, 0.0))
     return ScalarField(np.sqrt(best), grid)
 
 

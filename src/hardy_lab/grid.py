@@ -74,16 +74,24 @@ class Grid:
         return _distance_matrix(self)
 
 
+def lattice_distances(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Physical distances from the nodes a to the nodes b (flat indices),
+    shape (len(a), len(b)); periodic metric on a torus."""
+    ia = np.unravel_index(np.asarray(a, dtype=int), grid.sizes)
+    ib = np.unravel_index(np.asarray(b, dtype=int), grid.sizes)
+    d2 = np.zeros((ia[0].size, ib[0].size))
+    for axis in range(grid.dim):
+        diff = np.abs(ia[axis][:, None] - ib[axis][None, :])
+        if grid.boundary == PERIODIC:
+            diff = np.minimum(diff, grid.sizes[axis] - diff)
+        d2 += diff**2
+    return np.sqrt(d2) * grid.spacing
+
+
 @lru_cache(maxsize=16)
 def _distance_matrix(grid: Grid) -> np.ndarray:
-    idx = grid.indices().astype(float)
-    d2 = np.zeros((grid.n_nodes, grid.n_nodes))
-    for a in range(grid.dim):
-        diff = np.abs(idx[:, a, None] - idx[None, :, a])
-        if grid.boundary == PERIODIC:
-            diff = np.minimum(diff, grid.sizes[a] - diff)
-        d2 += diff**2
-    out = np.sqrt(d2) * grid.spacing
+    every = np.arange(grid.n_nodes)
+    out = lattice_distances(grid, every, every)
     out.flags.writeable = False
     return out
 

@@ -217,7 +217,7 @@ def oracle_functionals(ops) -> list:
         err = _rel(got, ref)
         out.append(OracleResult(f"functionals.square.{tag}", err <= 1e-9, err, 1e-9))
 
-        got = functionals.vertical_square_function(f, op, "g_h", times=times).values.real
+        got = functionals.vertical_square_function(f, op, times=times).values.real
         prof = semigroup.heat_profile(op, f, times, K=1)
         ref = np.sqrt((np.abs(prof) ** 2 * times.log_weights[None, :]).sum(axis=1))
         err = _rel(got, ref)

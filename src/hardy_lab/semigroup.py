@@ -9,12 +9,14 @@ sparse exponential actions and direct sparse solves (`KrylovCalculus`).
 Both backends share the sparse LU routes for resolvents and negative
 powers.
 
-The Poisson semigroup is evaluated through the subordination formula
+The Poisson semigroup is evaluated on the eigenbasis only, through the
+subordination formula
 
     e^{-t sqrt(L)} f = (1/sqrt(pi)) * int_0^inf u^{-1/2} e^{-u} e^{-t^2 L/(4u)} f du,
 
-by generalized Gauss-Laguerre quadrature with weight u^{-1/2} e^{-u}; the
-prefactor is fixed so that t = 0 reproduces the identity.
+by a log-substituted trapezoid rule in u; the prefactor is fixed so that
+t = 0 reproduces the identity.  Its heat times reach ~1e16 t^2, which no
+Krylov action reaches, so `KrylovCalculus` refuses it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import curve_fit
 
-from .grid import Grid, GridError, ScalarField, lp_norm, restricted_lp_norm
+from .grid import Grid, GridError, ScalarField, lattice_distances, lp_norm, restricted_lp_norm
 from .operator import DiscreteOperator
 
 AUTO_DENSE_MAX = 1024
@@ -101,8 +103,8 @@ class KrylovCalculus:
     resolvents and negative powers are sparse LU solves, factorized once
     per shift and kept for the life of the instance; on periodic grids the
     negative powers factorize L bordered by the constants, which keeps the
-    pinned matrix sparse.  Inputs are a vector or, where stated, a block of
-    columns.
+    pinned matrix sparse; the Poisson semigroup is refused.  Inputs are a
+    vector or, where stated, a block of columns.
     """
 
     def __init__(self, op: DiscreteOperator):
@@ -140,6 +142,13 @@ class KrylovCalculus:
         for _ in range(k):
             out = (self.matrix @ out) * (ts**2)[None, :]
         return out
+
+    def poisson(self, t: float, v: np.ndarray) -> np.ndarray:
+        """Refuses e^{-t sqrt(L)} v: the subordination rule's heat times
+        reach ~1e16 t^2, and a Krylov action's cost grows with the time."""
+        raise ConvergenceError(
+            f"the Poisson semigroup needs the eigenbasis; n = {self.n} is served by Krylov"
+        )
 
     def resolvent(self, s: float, v: np.ndarray) -> np.ndarray:
         """(I + sL)^{-1} v by sparse direct solve, residual-checked."""
@@ -254,6 +263,11 @@ class DenseCalculus(KrylovCalculus):
 
     def heat_poly(self, k: int, s: float, v: np.ndarray) -> np.ndarray:
         return self._apply_vals((s * self.w) ** k * np.exp(-s * self.w), v)
+
+    def poisson(self, t: float, v: np.ndarray) -> np.ndarray:
+        """e^{-t sqrt(L)} v by the subordination rule over heat_batch."""
+        nodes, coeffs = _subordination_rule(DEFAULT_QUAD_NODES)
+        return self.heat_batch((t * t) / (4.0 * nodes), v) @ coeffs
 
     def sqrt(self, v: np.ndarray) -> np.ndarray:
         """L^{1/2} v via the principal branch on the (accretive) spectrum."""
@@ -383,13 +397,10 @@ def _subordination_rule(quad_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def poisson_apply(op: DiscreteOperator, t: float, f: ScalarField) -> ScalarField:
-    """e^{-t sqrt(L)} f through the subordination quadrature."""
+    """e^{-t sqrt(L)} f; a KrylovCalculus raises ConvergenceError."""
     if t < 0:
         raise ValueError("negative time")
-    v = _check_field(op, f)
-    nodes, coeffs = _subordination_rule(DEFAULT_QUAD_NODES)
-    heat_times = (t * t) / (4.0 * nodes)
-    return ScalarField(calculus(op).heat_batch(heat_times, v) @ coeffs, op.grid)
+    return ScalarField(calculus(op).poisson(t, _check_field(op, f)), op.grid)
 
 
 def sqrt_apply(op: DiscreteOperator, f: ScalarField) -> ScalarField:
@@ -432,8 +443,7 @@ class GaffneyProfile:
 
 
 def set_distance(grid: Grid, E: np.ndarray, F: np.ndarray) -> float:
-    d = grid.distance_matrix()
-    return float(d[np.ix_(np.asarray(E, int), np.asarray(F, int))].min())
+    return float(lattice_distances(grid, E, F).min())
 
 
 def _indicator(grid: Grid, E: np.ndarray) -> ScalarField:

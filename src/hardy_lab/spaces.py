@@ -58,28 +58,23 @@ def dyadic_cubes(grid: Grid) -> list:
 def _oscillation_fields(
     f: ScalarField, op: DiscreteOperator, M: int, variant: str
 ) -> dict:
-    """(I - A_l)^M f for each sidelength l of the cube family, by binomial
-    expansion."""
+    """(I - A_l)^M f for each sidelength l of the cube family, as M
+    applications of v <- v - A_l v."""
     if variant not in BMO_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if M < 1:
         raise ValueError("need M >= 1")
-    v = f.values
     grid = op.grid
     lengths = sorted({c.sidelength for c in dyadic_cubes(grid)})
     out = {}
     for ell in lengths:
-        acc = np.zeros_like(v)
-        power = v
-        for i in range(M + 1):
-            acc = acc + (-1) ** i * math.comb(M, i) * power
-            if i == M:
-                break
+        v = f.values
+        for _ in range(M):
             if variant == "resolvent":
-                power = semigroup.resolvent_apply(op, ell, ScalarField(power, grid)).values
+                v = v - semigroup.resolvent_apply(op, ell, ScalarField(v, grid)).values
             else:
-                power = semigroup.heat_apply(op, ell * ell, ScalarField(power, grid)).values
-        out[ell] = acc
+                v = v - semigroup.heat_apply(op, ell * ell, ScalarField(v, grid)).values
+        out[ell] = v
     return out
 
 
@@ -123,23 +118,21 @@ def bmo_norm(
 # ---------------------------------------------------------------------------
 
 
-def _ball_tent_masses(density: np.ndarray, grid: Grid, times: TimeGrid) -> list:
-    """(ball, mass, mass / |ball|) for each ball of the family, sorted by
-    (sidelength, anchor); mass integrates a space-time density over the
-    tent above the ball.
+def _tent_mean_sup(density: np.ndarray, grid: Grid, times: TimeGrid) -> float:
+    """sup over the ball family of mass / |ball|, where mass integrates a
+    space-time density over the tent above the ball.
 
     density has shape (N, T) and already carries |.|^2; the integral is
     against dy dt/t (trapezoid in log t, so the 1/t is in the weights).
     """
     ts = times.samples
     wlog = times.log_weights
-    out = []
-    for cube in sorted(dyadic_cubes(grid), key=lambda c: (c.nnodes, c.anchor)):
-        dist = dist_to_complement(grid, cube.node_set(0))
-        mask = dist[:, None] >= ts[None, :]
+    best = 0.0
+    for cube in dyadic_cubes(grid):
+        mask = dist_to_complement(grid, cube.node_set(0))[:, None] >= ts[None, :]
         mass = float(((mask * density).sum(axis=0) * wlog).sum() * grid.cell_volume)
-        out.append((cube, mass, mass / cube.volume))
-    return out
+        best = max(best, mass / cube.volume)
+    return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,18 +152,7 @@ def carleson_functional(
     grid = op.grid
     times = times or semigroup.default_time_grid(grid)
     prof = semigroup.heat_profile(op, f, times, K=M)
-    per_ball = _ball_tent_masses(np.abs(prof) ** 2, grid, times)
-    return CarlesonReport(max((r for _, _, r in per_ball), default=0.0))
-
-
-def carleson_sup_function(F: SpaceTimeField) -> ScalarField:
-    """C F(x): sup over family balls containing x of the tent-mean mass."""
-    grid = F.grid
-    out = np.zeros(grid.n_nodes)
-    for cube, _, ratio in _ball_tent_masses(np.abs(F.values) ** 2, grid, F.times):
-        nodes = cube.node_set(0)
-        out[nodes] = np.maximum(out[nodes], ratio)
-    return ScalarField(np.sqrt(out), grid)
+    return CarlesonReport(_tent_mean_sup(np.abs(prof) ** 2, grid, times))
 
 
 def tent_norms(F: SpaceTimeField) -> tuple[float, float]:
@@ -178,9 +160,7 @@ def tent_norms(F: SpaceTimeField) -> tuple[float, float]:
     over family balls of the root tent-mean mass."""
     s = cone_integrate(F, ConeSpec(1.0))
     t1 = lp_norm(s.values, F.grid, 1)
-    per_ball = _ball_tent_masses(np.abs(F.values) ** 2, F.grid, F.times)
-    tinf = math.sqrt(max((r for _, _, r in per_ball), default=0.0))
-    return t1, tinf
+    return t1, math.sqrt(_tent_mean_sup(np.abs(F.values) ** 2, F.grid, F.times))
 
 
 # ---------------------------------------------------------------------------

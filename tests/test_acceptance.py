@@ -89,7 +89,7 @@ def test_criterion_2_conservation(capsys, lab):
                 np.abs(poisson_apply(op, t, ones).values - 1).max(),
             )
         s = square_function(ones, op, ConeSpec(1.0), "heat")
-        gh = vertical_square_function(ones, op, "g_h")
+        gh = vertical_square_function(ones, op)
         worst_cons = max(worst_cons, s.values.max(), gh.values.max())
         worst_zero = max(
             worst_zero,

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardy_lab import Grid, cli, random_elliptic_coefficients, serialize
+from hardy_lab.decomposition import DegenerateFieldError
+from hardy_lab.semigroup import KernelComponentError
 
 
 def write_config(tmp_path, **extra):
@@ -187,3 +189,31 @@ def test_csv_float_format_roundtrips(x, y):
     got = complex(cell.replace("j", "j"))
     assert got.real == pytest.approx(x, rel=1e-11, abs=1e-300)
     assert got.imag == pytest.approx(y, rel=1e-11, abs=1e-300)
+
+
+@pytest.mark.parametrize(
+    "command, target, error",
+    [
+        ("carleson", "spaces.carleson_functional", KernelComponentError),
+        ("decompose", "decomposition.molecular_decompose", DegenerateFieldError),
+    ],
+)
+def test_kernel_and_degenerate_fields_are_config_errors(
+    tmp_path, capsys, monkeypatch, command, target, error
+):
+    # no corpus kind produces such fields, so the first call raises instead
+    def fail(*args, **kwargs):
+        raise error("field is not mean-zero")
+
+    monkeypatch.setattr(f"hardy_lab.{target}", fail)
+    cfg = write_config(tmp_path)
+    assert_one_line_config_error(capsys, cli.main([command, "--config", str(cfg)]))
+
+
+@pytest.mark.parametrize("command", ["functional", "equivalence"])
+def test_krylov_poisson_exits_four_at_once(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli.semigroup, "AUTO_DENSE_MAX", 0)
+    code = cli.main([command, "--config", str(write_config(tmp_path))])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NONCONVERGENCE
+    assert err.startswith("non-convergence: ") and err.count("\n") == 1

@@ -17,7 +17,6 @@ from hardy_lab import (
     lp_norm,
     make_molecule,
     molecular_decompose,
-    molecular_norm,
     molecule_corpus,
     random_elliptic_coefficients,
     validate_molecule,
@@ -171,13 +170,12 @@ def test_decompose_validates_molecules(op1d, grid1d):
     assert max(1.0, *(rep.max_ratio for rep in reports)) > 0
 
 
-@pytest.mark.parametrize("kind", ["heat", "resolvent"])
-def test_make_molecule_validates(op1d, grid1d, kind):
+def test_make_molecule_validates(op1d, grid1d):
     cube = Cube(grid1d, (12,), 8)
     seed = np.zeros(64, dtype=complex)
     seed[cube.node_set(0)] = 1.0
     seed *= cube.volume ** (-0.5) / (lp_norm(seed, grid1d, 2) * (1 + 1e-9))
-    mol = make_molecule(ScalarField(seed, grid1d), cube, op1d, M=1, kind=kind)
+    mol = make_molecule(ScalarField(seed, grid1d), cube, op1d, M=1)
     rep = validate_molecule(mol, op1d)
     assert rep.passes
     assert rep.max_ratio <= 1.0 + 1e-9
@@ -196,17 +194,6 @@ def test_make_molecule_rejects_oversized_seed(op1d, grid1d):
     seed[cube.node_set(0)] = 100.0
     with pytest.raises(ValueError):
         make_molecule(ScalarField(seed, grid1d), cube, op1d, M=1)
-
-
-def test_molecular_norm_finite(op1d, grid1d):
-    cube = Cube(grid1d, (12,), 8)
-    seed = np.zeros(64, dtype=complex)
-    seed[cube.node_set(0)] = 1.0
-    seed *= cube.volume ** (-0.5) / (lp_norm(seed, grid1d, 2) * (1 + 1e-9))
-    mol = make_molecule(ScalarField(seed, grid1d), cube, op1d, M=1)
-    val = molecular_norm(mol.field, 2.0, 1.0, 1, cube, op1d)
-    assert np.isfinite(val)
-    assert val > 0
 
 
 def test_h1_estimate_dominates_l1(op1d, grid1d):

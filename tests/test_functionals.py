@@ -32,7 +32,7 @@ def test_square_function_annihilates_constants(op1d, grid1d):
 
 def test_vertical_square_annihilates_constants(op1d_random, grid1d):
     ones = ScalarField(np.ones(64, dtype=complex), grid1d)
-    g = vertical_square_function(ones, op1d_random, "g_h", times=TIMES)
+    g = vertical_square_function(ones, op1d_random, times=TIMES)
     assert np.abs(g.values).max() < 1e-8
 
 
@@ -116,14 +116,28 @@ def test_heat_kinds_honour_their_parameters(op1d_random, field1d):
     expected = cone_integrate(SpaceTimeField(np.abs(prof), op.grid, TIMES), ConeSpec(1.0))
     s2 = square_function(field1d, op, ConeSpec(1.0), "heat", 2, TIMES)
     assert np.array_equal(s2.values, expected.values)
-    g1 = vertical_square_function(field1d, op, "g_h", 1, TIMES).values
-    g2 = vertical_square_function(field1d, op, "g_h", 2, TIMES).values
+    g1 = vertical_square_function(field1d, op, 1, TIMES).values
+    g2 = vertical_square_function(field1d, op, 2, TIMES).values
     assert not np.allclose(g1, g2)
     n1 = nontangential_max(field1d, op, "heat", 1.0, 1, TIMES).values
     n2 = nontangential_max(field1d, op, "heat", 2.0, 1, TIMES).values
     assert not np.allclose(n1, n2)
     with pytest.raises(ValueError):
         square_function(field1d, op, ConeSpec(1.0), "heat", 0, TIMES)
+
+
+def test_nontangential_max_power_acts_on_the_heat_image(op1d_random, grid1d):
+    op = op1d_random
+    ones = ScalarField(np.ones(64, dtype=complex), grid1d)
+    n0 = nontangential_max(ones, op, "heat", 1.0, 0, TIMES).values
+    assert np.array_equal(nontangential_max(ones, op, times=TIMES).values, n0)
+    assert np.abs(n0 - 1.0).max() < 1e-8  # e^{-t^2 L} keeps constants
+    n1 = nontangential_max(ones, op, "heat", 1.0, 1, TIMES).values
+    assert np.abs(n1).max() < 1e-8  # t^2 L annihilates them
+    with pytest.raises(ValueError):
+        nontangential_max(ones, op, "poisson", 1.0, 1, TIMES)
+    with pytest.raises(ValueError):
+        nontangential_max(ones, op, "heat", 1.0, -1, TIMES)
 
 
 def test_aperture_below_one_rejected(op1d, field1d):

@@ -15,7 +15,7 @@ from hardy_lab import (
     random_elliptic_coefficients,
     assemble_operator,
 )
-from hardy_lab.grid import NonEllipticError
+from hardy_lab.grid import NonEllipticError, lattice_distances
 from hardy_lab.semigroup import calculus
 
 
@@ -40,6 +40,25 @@ def test_distance_matrix_dirichlet_no_wrap():
     g = Grid(1, (16,), 1.0 / 16, "dirichlet")
     d = g.distance_matrix()
     assert d[0, 15] == pytest.approx(15.0 / 16)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(1, (37,), 1.0 / 37),
+        Grid(1, (37,), 1.0 / 37, "dirichlet"),
+        Grid(2, (16, 11), 1.0 / 16),
+        Grid(2, (16, 11), 1.0 / 16, "dirichlet"),
+    ],
+    ids=lambda g: f"{g.dim}d-{g.boundary}",
+)
+def test_lattice_distances_match_distance_matrix(grid):
+    rng = np.random.default_rng(grid.n_nodes)
+    d = grid.distance_matrix()
+    for size_a, size_b in ((1, 1), (5, 17), (30, 3)):
+        a = rng.choice(grid.n_nodes, size_a, replace=False)
+        b = rng.choice(grid.n_nodes, size_b, replace=False)
+        assert np.array_equal(lattice_distances(grid, a, b), d[np.ix_(a, b)])
 
 
 def test_random_coefficients_are_elliptic(grid1d):

@@ -1,12 +1,14 @@
 """Property tests of the assembled operator over random grids and coefficients."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardy_lab import Grid, assemble_operator, check_ellipticity, random_elliptic_coefficients
 from hardy_lab.grid import DIRICHLET, PERIODIC, ScalarField
-from hardy_lab.semigroup import calculus
+from hardy_lab.semigroup import DenseCalculus, calculus
 from hardy_lab.spaces import duality_pair
 
 
@@ -58,3 +60,30 @@ def test_duality_identity(pair, seed):
     direct = np.vdot(g.values, f.values) * op.grid.cell_volume  # <f, g>
     for M in (1, 2, 3):
         assert abs(duality_pair(f, g, op, M) - direct) <= 1e-6 * abs(direct)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pair=operators(),
+    seed=st.integers(0, 2**16),
+    s=st.floats(1e-4, 0.1),
+    t=st.floats(1e-4, 0.1),
+)
+def test_semigroup_law(pair, seed, s, t):
+    op, _ = pair
+    (v,) = random_fields(op, seed, 1)
+    calc = calculus(op)
+    assert isinstance(calc, DenseCalculus)
+    lhs = calc.heat(s, calc.heat(t, v))  # e^{-sL} e^{-tL} v
+    assert np.linalg.norm(lhs - calc.heat(s + t, v)) <= 1e-10 * np.linalg.norm(v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=operators())
+def test_spectrum_lies_in_ellipticity_sector(pair):
+    op, coeff = pair
+    lam, Lam = check_ellipticity(coeff)
+    w = np.linalg.eigvals(op.matrix.toarray())
+    # the kernel eigenvalue of a periodic L is roundoff with a random argument
+    w = w[np.abs(w) > 1e-10 * np.abs(w).max()]
+    assert np.abs(np.angle(w)).max() <= math.acos(min(lam / Lam, 1.0)) + 1e-10

@@ -246,3 +246,9 @@ def test_subordination_rule_matches_scalar_exponential():
         for lam in (0.0, 1.0, 500.0, 16384.0):
             approx = float((coeffs * np.exp(-(t * t * lam) / (4.0 * nodes))).sum())
             assert approx == pytest.approx(np.exp(-t * np.sqrt(lam)), abs=1e-8)
+
+
+def test_krylov_poisson_raises_at_once(op1d_random, field1d):
+    # the subordination rule's heat times (~1e16 t^2) are out of Krylov reach
+    with pytest.raises(ConvergenceError, match="eigenbasis"):
+        semigroup.KrylovCalculus(op1d_random).poisson(0.3, field1d.values)

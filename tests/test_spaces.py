@@ -22,7 +22,6 @@ from hardy_lab import (
 from hardy_lab import semigroup
 from hardy_lab.functionals import SpaceTimeField
 from hardy_lab.semigroup import KernelComponentError
-from hardy_lab.spaces import carleson_sup_function
 from conftest import mean_zero_field
 
 
@@ -148,14 +147,3 @@ def test_tent_duality_ratio_small():
         if t1 > 0 and tinf > 0:
             worst = max(worst, pairing / (t1 * tinf))
     assert worst <= 10.0
-
-
-def test_carleson_sup_function_matches_norm(op1d, field1d):
-    times = TimeGrid(1.0 / 256, 2.0, 24)
-    from hardy_lab import heat_profile
-
-    prof = heat_profile(op1d, field1d, times, K=1)
-    F = SpaceTimeField(prof, op1d.grid, times)
-    sup_field = carleson_sup_function(F)
-    rep = carleson_functional(field1d, op1d, M=1, times=times)
-    assert sup_field.values.max() ** 2 == pytest.approx(rep.carleson_norm, rel=1e-9)
