@@ -117,8 +117,12 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown tolerance {key!r}")
             self.tolerances[key] = _number(f"tolerances.{key}", val)
         self.filter = overrides.filter
-        if self.M < 1:
-            raise ConfigError("params.M must be >= 1")
+        if not 1 <= self.M <= semigroup.MAX_HEAT_POWER:
+            raise ConfigError(f"params.M must lie in [1, {semigroup.MAX_HEAT_POWER}]")
+        if not self.p >= 1:
+            raise ConfigError("params.p must be >= 1")
+        if not self.eps > 0:
+            raise ConfigError("params.eps must be > 0")
         if self.corpus_count < 1:
             raise ConfigError("empty corpus")
         if self.corpus_kind not in corpus_mod.CORPUS_KINDS:
@@ -229,8 +233,8 @@ def _write_metadata(cfg: ExperimentConfig, command: str) -> None:
 
 
 def cmd_assemble(cfg: ExperimentConfig) -> None:
-    op = cfg.operator()
     coeff = cfg.coefficients()
+    op = assemble_operator(cfg.grid, coeff)
     serialize.write_json(
         cfg.out / "operator.json",
         {

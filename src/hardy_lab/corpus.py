@@ -1,10 +1,9 @@
 """Deterministic corpora of test fields.
 
-Every generator returns mean-zero, L^2-normalized scalar fields.  The
-"standard" kind is a single smooth raised-cosine bump with randomized
-center, width and sign; it is the corpus behind the decomposition and
-equivalence experiments.  The other kinds stress the equivalence
-constants with rougher inputs.
+`generate_corpus` returns mean-zero, L^2-normalized scalar fields of one
+kind.  The one kind, "standard", is a single smooth raised-cosine bump
+with randomized center, width and sign; it is the corpus behind every
+field experiment.  `molecule_corpus` builds molecules on dyadic cubes.
 """
 
 from __future__ import annotations
@@ -13,10 +12,9 @@ import numpy as np
 
 from .grid import Grid, ScalarField, lp_norm
 from .operator import DiscreteOperator
-from . import semigroup
 from . import decomposition
 
-CORPUS_KINDS = ("standard", "smoothed_gaussian", "bump", "dyadic_oscillation")
+CORPUS_KINDS = ("standard",)
 
 
 def _periodic_offsets(grid: Grid, center: np.ndarray) -> np.ndarray:
@@ -104,31 +102,8 @@ def generate_corpus(
     side = max(grid.side_lengths)
     fields = []
     for _ in range(count):
-        if kind == "standard":
-            center = np.array([rng.uniform(0, s) for s in grid.side_lengths])
-            width = rng.uniform(0.18, 0.3) * side
-            sign = rng.choice([-1.0, 1.0])
-            raw = sign * _cos_bump(grid, center, width)
-        elif kind == "smoothed_gaussian":
-            noise = rng.normal(size=grid.n_nodes) + 0j
-            tau = (2.0 * grid.spacing) ** 2
-            raw = semigroup.heat_apply(op, tau, ScalarField(noise, grid)).values
-        elif kind == "bump":
-            raw = np.zeros(grid.n_nodes)
-            for _ in range(int(rng.integers(1, 4))):
-                center = np.array([rng.uniform(0, s) for s in grid.side_lengths])
-                width = rng.uniform(0.05, 0.25) * side
-                amp = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
-                raw = raw + amp * _cos_bump(grid, center, width)
-        else:  # dyadic_oscillation
-            jmax = max(int(np.log2(min(grid.sizes))) - 2, 1)
-            coords = grid.coords()
-            raw = np.ones(grid.n_nodes)
-            for a in range(grid.dim):
-                j = int(rng.integers(1, jmax + 1))
-                phase = rng.uniform(0, 2 * np.pi)
-                raw = raw * np.sin(
-                    2 * np.pi * (2**j) * coords[:, a] / grid.side_lengths[a] + phase
-                )
-        fields.append(_normalize(raw, grid))
+        center = np.array([rng.uniform(0, s) for s in grid.side_lengths])
+        width = rng.uniform(0.18, 0.3) * side
+        sign = rng.choice([-1.0, 1.0])
+        fields.append(_normalize(sign * _cos_bump(grid, center, width), grid))
     return fields

@@ -1,18 +1,11 @@
 """The Riesz transform grad L^{-1/2} and its boundedness experiments.
 
-L^{-1/2} is realized by the quadrature
-
-    L^{-1/2} f = (1/sqrt(pi)) int_0^inf e^{-sL} f ds/sqrt(s)
-
-after the substitution s = e^u, which turns the 1/sqrt(s) endpoint and the
-e^{-s lambda_min} tail into doubly smooth decay so the trapezoid rule
-converges geometrically.  The constant 1/sqrt(pi) makes the identity
-L^{-1/2} L^{1/2} = I exact on eigenmodes.
+L^{-1/2} is served by the functional calculus (`DenseCalculus.inv_sqrt`);
+a Krylov-served operator refuses it with ConvergenceError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,30 +15,11 @@ from .operator import DiscreteOperator
 from . import semigroup
 from .functionals import vertical_square_function
 
-MIN_QUAD_NODES = 32
 
-
-def inv_sqrt_apply(
-    op: DiscreteOperator, f: ScalarField, quad_nodes: int = 96
-) -> ScalarField:
-    """L^{-1/2} f by log-substituted trapezoid quadrature."""
-    if quad_nodes < MIN_QUAD_NODES:
-        raise ValueError(f"need quad_nodes >= {MIN_QUAD_NODES}")
+def inv_sqrt_apply(op: DiscreteOperator, f: ScalarField) -> ScalarField:
+    """L^{-1/2} f; the input passes through `mean_zero` first."""
     v = semigroup.mean_zero(op, f.values)
-    calc = semigroup.calculus(op)
-    lam_min, lam_max = calc.spectral_bounds()
-    # s-window: integrand ~ sqrt(s) for s below 1/lam_max, ~ e^{-s lam_min}
-    # above 1/lam_min; both tails are pushed below 1e-8
-    u_lo = math.log(1e-16 / lam_max)
-    u_hi = math.log(50.0 / lam_min)
-    u = np.linspace(u_lo, u_hi, quad_nodes)
-    du = u[1] - u[0]
-    weights = np.full(quad_nodes, du)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    s_vals = np.exp(u)
-    out = calc.heat_batch(s_vals, v) @ (weights * np.sqrt(s_vals))
-    return ScalarField(out / math.sqrt(math.pi), op.grid)
+    return ScalarField(semigroup.calculus(op).inv_sqrt(v), op.grid)
 
 
 def riesz_apply(op: DiscreteOperator, f: ScalarField) -> VectorField:

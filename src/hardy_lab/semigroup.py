@@ -9,14 +9,21 @@ sparse exponential actions and direct sparse solves (`KrylovCalculus`).
 Both backends share the sparse LU routes for resolvents and negative
 powers.
 
-The Poisson semigroup is evaluated on the eigenbasis only, through the
-subordination formula
+Functions of sqrt(L) are evaluated on the eigenbasis only.  The Poisson
+semigroup goes through the subordination formula
 
     e^{-t sqrt(L)} f = (1/sqrt(pi)) * int_0^inf u^{-1/2} e^{-u} e^{-t^2 L/(4u)} f du,
 
-by a log-substituted trapezoid rule in u; the prefactor is fixed so that
-t = 0 reproduces the identity.  Its heat times reach ~1e16 t^2, which no
-Krylov action reaches, so `KrylovCalculus` refuses it.
+and L^{-1/2}, on the complement of the kernel, through
+
+    L^{-1/2} f = (1/sqrt(pi)) * int_0^inf e^{-sL} f ds/sqrt(s),
+
+each by a trapezoid rule in log u (log s), which turns the endpoint
+singularities and the exponential tails into doubly exponential decay;
+the prefactors make t = 0 the identity and L^{-1/2} L^{1/2} = I exact on
+eigenmodes.  Their heat times reach ~1e16 t^2 and 50 / lambda_min, out of
+reach of a Krylov action, so `KrylovCalculus` refuses Poisson, L^{1/2}
+and L^{-1/2} alike.
 """
 
 from __future__ import annotations
@@ -103,16 +110,15 @@ class KrylovCalculus:
     resolvents and negative powers are sparse LU solves, factorized once
     per shift and kept for the life of the instance; on periodic grids the
     negative powers factorize L bordered by the constants, which keeps the
-    pinned matrix sparse; the Poisson semigroup is refused.  Inputs are a
+    pinned matrix sparse; functions of sqrt(L) are refused.  Inputs are a
     vector or, where stated, a block of columns.
     """
 
     def __init__(self, op: DiscreteOperator):
         # no reference to op itself, so the weakly keyed cache can drop it
-        self.matrix, self.grid, self.kernel_dim = op.matrix, op.grid, op.kernel_dim
+        self.matrix, self.kernel_dim = op.matrix, op.kernel_dim
         self.n = op.n
         self._lu: dict = {}
-        self._sqrtm = None
 
     def heat(self, s: float, v: np.ndarray) -> np.ndarray:
         """e^{-sL} v for a vector or a block of columns."""
@@ -143,12 +149,22 @@ class KrylovCalculus:
             out = (self.matrix @ out) * (ts**2)[None, :]
         return out
 
+    def _refuse(self, what: str):
+        # a Krylov action's cost grows with its time, and these rules' heat
+        # times reach ~1e16 t^2 (Poisson) or 50 / lambda_min (L^{-1/2})
+        raise ConvergenceError(f"{what} needs the eigenbasis; n = {self.n} is served by Krylov")
+
     def poisson(self, t: float, v: np.ndarray) -> np.ndarray:
-        """Refuses e^{-t sqrt(L)} v: the subordination rule's heat times
-        reach ~1e16 t^2, and a Krylov action's cost grows with the time."""
-        raise ConvergenceError(
-            f"the Poisson semigroup needs the eigenbasis; n = {self.n} is served by Krylov"
-        )
+        """Refuses e^{-t sqrt(L)} v."""
+        self._refuse("the Poisson semigroup")
+
+    def sqrt(self, v: np.ndarray) -> np.ndarray:
+        """Refuses L^{1/2} v."""
+        self._refuse("L^{1/2}")
+
+    def inv_sqrt(self, v: np.ndarray) -> np.ndarray:
+        """Refuses L^{-1/2} v."""
+        self._refuse("L^{-1/2}")
 
     def resolvent(self, s: float, v: np.ndarray) -> np.ndarray:
         """(I + sL)^{-1} v by sparse direct solve, residual-checked."""
@@ -187,30 +203,11 @@ class KrylovCalculus:
             v = self._lu["pinned"].solve(v)[: self.n]
         return v
 
-    def sqrt(self, v: np.ndarray) -> np.ndarray:
-        """L^{1/2} v through the dense principal square root of L."""
-        if self._sqrtm is None:
-            self._sqrtm = scipy.linalg.sqrtm(self.matrix.toarray())
-        return self._sqrtm @ v
-
-    def spectral_bounds(self) -> tuple[float, float]:
-        """(lower, upper) bounds on the nonzero eigenvalue magnitudes of L.
-
-        The upper bound is Gershgorin's; the lower one is the Laplacian gap
-        scaled by the declared accretivity of the assembled form.
-        """
-        upper = float(np.abs(self.matrix).sum(axis=1).max())
-        h = self.grid.spacing
-        size = max(self.grid.sizes)
-        lower = (2.0 / h * math.sin(math.pi / size)) ** 2 * 1e-2
-        return lower, upper
-
     def adjoint(self) -> "KrylovCalculus":
         """The calculus of L* = L^H: the same routes, with a fresh LU cache."""
         adj = copy.copy(self)
         adj.matrix = self.matrix.conj().T.tocsr()
         adj._lu = {}
-        adj._sqrtm = None
         return adj
 
 
@@ -273,11 +270,17 @@ class DenseCalculus(KrylovCalculus):
         """L^{1/2} v via the principal branch on the (accretive) spectrum."""
         return self._apply_vals(np.sqrt(self.w.astype(complex)), v)
 
-    def spectral_bounds(self) -> tuple[float, float]:
-        """(smallest nonzero, largest) eigenvalue magnitudes of L."""
+    def inv_sqrt(self, v: np.ndarray) -> np.ndarray:
+        """L^{-1/2} v for a mean-zero v, by 96 nodes in log s over heat_batch.
+
+        The s-window comes from the eigenvalues: the integrand is ~sqrt(s)
+        below 1/lambda_max and ~e^{-s lambda_min} above 1/lambda_min, and
+        both tails are pushed below 1e-8.
+        """
         w = np.abs(self.w)
-        nonzero = w[w > 1e-10 * max(w.max(), 1.0)]
-        return float(nonzero.min()), float(w.max())
+        lam_min = float(w[~self.kernel_mask].min())
+        s, weights = _log_trapezoid(math.log(1e-16 / w.max()), math.log(50.0 / lam_min), 96)
+        return self.heat_batch(s, v) @ (weights * np.sqrt(s)) / math.sqrt(math.pi)
 
     def adjoint(self) -> "DenseCalculus":
         """The calculus of L* = V^{-H} diag(conj w) V^H, from this eigenbasis.
@@ -376,7 +379,17 @@ def neg_power_apply(op: DiscreteOperator, k: int, f: ScalarField) -> ScalarField
     return ScalarField(calculus(op).neg_power(k, v), op.grid)
 
 
-def _subordination_rule(quad_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _log_trapezoid(u_lo: float, u_hi: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes e^{u_i} and trapezoid weights in u for count points of
+    [u_lo, u_hi]: int g(s) ds/s ~ sum_i w_i g(e^{u_i})."""
+    u = np.linspace(u_lo, u_hi, count)
+    weights = np.full(count, u[1] - u[0])
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return np.exp(u), weights
+
+
+def _subordination_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes u_i and coefficients c_i so that for every lambda >= 0
 
         e^{-t sqrt(lambda)} ~ sum_i c_i e^{-(t^2 lambda) / (4 u_i)}
@@ -386,14 +399,8 @@ def _subordination_rule(quad_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     substitution, uniformly in t^2 lambda, so the rule converges
     geometrically where a Laguerre rule stalls for stiff spectra.
     """
-    u_log = np.linspace(-38.0, 4.0, quad_nodes)
-    du = u_log[1] - u_log[0]
-    weights = np.full(quad_nodes, du)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    nodes = np.exp(u_log)
-    coeffs = weights * np.sqrt(nodes) * np.exp(-nodes) / math.sqrt(math.pi)
-    return nodes, coeffs
+    nodes, weights = _log_trapezoid(-38.0, 4.0, count)
+    return nodes, weights * np.sqrt(nodes) * np.exp(-nodes) / math.sqrt(math.pi)
 
 
 def poisson_apply(op: DiscreteOperator, t: float, f: ScalarField) -> ScalarField:

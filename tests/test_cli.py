@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardy_lab import Grid, cli, random_elliptic_coefficients, serialize
+from hardy_lab import Grid, cli, random_elliptic_coefficients, semigroup, serialize
 from hardy_lab.decomposition import DegenerateFieldError
 from hardy_lab.semigroup import KernelComponentError
 
@@ -99,6 +99,16 @@ def test_file_coefficients_are_measured(tmp_path):
     assert obj["coefficients"] == serialize.coefficients_to_obj(coeff.matrices)
 
 
+def test_assemble_builds_the_coefficient_field_once(tmp_path, monkeypatch):
+    calls = []
+    build = cli.ExperimentConfig.coefficients
+    monkeypatch.setattr(
+        cli.ExperimentConfig, "coefficients", lambda cfg: calls.append(cfg) or build(cfg)
+    )
+    assert cli.main(["assemble", "--config", str(write_config(tmp_path))]) == cli.EXIT_OK
+    assert len(calls) == 1
+
+
 def test_degenerate_file_coefficients_are_config_error(tmp_path, capsys):
     coeff = random_elliptic_coefficients(Grid(1, (64,), 1.0 / 64), 0.5, 2.0, seed=1)
     cfg = write_config(tmp_path, coefficients=write_coefficients(tmp_path, -coeff.matrices))
@@ -126,6 +136,10 @@ def test_non_dyadic_decompose_grid_is_config_error(tmp_path, capsys):
         ("assemble", {"grid": "64"}),
         ("assemble", {"params": [1]}),
         ("assemble", {"coefficients": "identity"}),
+        ("validate", {"params": {"M": semigroup.MAX_HEAT_POWER + 1}}),
+        ("validate", {"params": {"p": 0}}),
+        ("decompose", {"params": {"p": 0.5}}),
+        ("validate", {"params": {"eps": 0}}),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, command, extra):
@@ -210,10 +224,11 @@ def test_kernel_and_degenerate_fields_are_config_errors(
     assert_one_line_config_error(capsys, cli.main([command, "--config", str(cfg)]))
 
 
-@pytest.mark.parametrize("command", ["functional", "equivalence"])
+@pytest.mark.parametrize("command", ["functional", "equivalence", "riesz"])
 def test_krylov_poisson_exits_four_at_once(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setattr(cli.semigroup, "AUTO_DENSE_MAX", 0)
     code = cli.main([command, "--config", str(write_config(tmp_path))])
     err = capsys.readouterr().err
     assert code == cli.EXIT_NONCONVERGENCE
     assert err.startswith("non-convergence: ") and err.count("\n") == 1
+    assert "eigenbasis" in err

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from hardy_lab import Grid, assemble_operator, check_ellipticity, random_elliptic_coefficients
 from hardy_lab.grid import DIRICHLET, PERIODIC, ScalarField
-from hardy_lab.semigroup import DenseCalculus, calculus
+from hardy_lab.decomposition import calderon_constant
+from hardy_lab.semigroup import DenseCalculus, TimeGrid, calculus, default_time_grid
 from hardy_lab.spaces import duality_pair
 
 
@@ -87,3 +88,25 @@ def test_spectrum_lies_in_ellipticity_sector(pair):
     # the kernel eigenvalue of a periodic L is roundoff with a random argument
     w = w[np.abs(w) > 1e-10 * np.abs(w).max()]
     assert np.abs(np.angle(w)).max() <= math.acos(min(lam / Lam, 1.0)) + 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=operators(), seed=st.integers(0, 2**16))
+def test_calderon_reproduction(pair, seed):
+    op, _ = pair
+    (f,) = random_fields(op, seed, 1)
+    f -= f.mean()
+    calc = calculus(op)
+    # the time grid `hardy-lab decompose` integrates on
+    base = default_time_grid(op.grid)
+    times = TimeGrid(op.grid.spacing / 16.0, base.t_max, base.count)
+    for M in (1, 2, 3):
+        K = M + 2
+        # (t^2 L e^{-t^2 L})^K = (s L)^K e^{-sL} / K^K with s = K t^2
+        terms = (
+            w * calc.heat_poly(K, K * t * t, f)
+            for t, w in zip(times.samples, times.log_weights)
+        )
+        recon = calderon_constant(M) / K**K * sum(terms)
+        # the residual tolerance of `hardy-lab decompose`
+        assert np.linalg.norm(recon - f) <= 1e-3 * np.linalg.norm(f)

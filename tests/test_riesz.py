@@ -12,7 +12,7 @@ from hardy_lab import (
     riesz_h1_experiment,
     sqrt_apply,
 )
-from hardy_lab.riesz import MIN_QUAD_NODES, commutator_slope, gaffney_commutator_check
+from hardy_lab.riesz import commutator_slope, gaffney_commutator_check
 from hardy_lab.semigroup import KernelComponentError
 from conftest import mean_zero_field
 
@@ -31,28 +31,6 @@ def test_inv_sqrt_linearity(op1d, grid1d):
     lhs = inv_sqrt_apply(op1d, combo).values
     rhs = c * inv_sqrt_apply(op1d, f).values + inv_sqrt_apply(op1d, g).values
     assert np.abs(lhs - rhs).max() <= 1e-9 * np.abs(rhs).max()
-
-
-def test_inv_sqrt_refinement_improves(op1d_random, field1d):
-    from hardy_lab.semigroup import DenseCalculus
-
-    calc = DenseCalculus(op1d_random)
-    mask = np.abs(calc.w) > 1e-10
-    safe = np.where(mask, calc.w.astype(complex), 1.0)
-    vals = np.where(mask, safe**-0.5, 0.0)
-    # reference from the eigendecomposition, with the kernel mode removed
-    ref = calc._apply_vals(vals, field1d.values)
-    errs = []
-    for nq in (32, 48, 96):
-        got = inv_sqrt_apply(op1d_random, field1d, quad_nodes=nq).values
-        errs.append(np.abs(got - ref).max())
-    assert errs[0] > errs[1] > errs[2]
-    assert errs[-1] <= 1e-6
-
-
-def test_min_quad_nodes_enforced(op1d, field1d):
-    with pytest.raises(ValueError):
-        inv_sqrt_apply(op1d, field1d, quad_nodes=MIN_QUAD_NODES - 1)
 
 
 def test_riesz_rejects_kernel_component(op1d, grid1d):

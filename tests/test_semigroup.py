@@ -83,7 +83,12 @@ PARITY = {
     "heat_poly": (lambda c, v: c.heat_poly(2, 0.01, v), 1e-8),
     "resolvent": (lambda c, v: c.resolvent(0.01, v), 1e-10),
     "neg_power": (lambda c, v: c.neg_power(2, v), 1e-10),
-    "sqrt": (lambda c, v: c.sqrt(v), 1e-8),
+}
+# functions of sqrt(L), served by the eigenbasis alone
+SQRT_FUNCTIONS = {
+    "poisson": lambda c, v: c.poisson(0.3, v),
+    "sqrt": lambda c, v: c.sqrt(v),
+    "inv_sqrt": lambda c, v: c.inv_sqrt(v),
 }
 
 
@@ -96,11 +101,14 @@ def test_heat_krylov_matches_dense(random_op, method):
     assert np.abs(krylov - dense).max() <= tol * np.abs(dense).max()
 
 
-@pytest.mark.parametrize("backend", ["DenseCalculus", "KrylovCalculus"])
-@pytest.mark.parametrize("method", sorted(PARITY) + ["spectral_bounds"])
+@pytest.mark.parametrize(
+    "method, backend",
+    [(m, b) for m in sorted(PARITY) for b in ("DenseCalculus", "KrylovCalculus")]
+    + [(m, "DenseCalculus") for m in sorted(SQRT_FUNCTIONS)],
+)
 def test_adjoint_matches_calculus_of_conjugate_transpose(random_op, backend, method):
     v = mean_zero_field(random_op.grid, seed=3).values
-    apply = PARITY[method][0] if method in PARITY else lambda c, _: np.array(c.spectral_bounds())
+    apply = PARITY[method][0] if method in PARITY else SQRT_FUNCTIONS[method]
     calc = getattr(semigroup, backend)(random_op)
     # factorize L first: the adjoint must not reuse these LU factors
     calc.resolvent(0.01, v)
@@ -248,7 +256,9 @@ def test_subordination_rule_matches_scalar_exponential():
             assert approx == pytest.approx(np.exp(-t * np.sqrt(lam)), abs=1e-8)
 
 
-def test_krylov_poisson_raises_at_once(op1d_random, field1d):
-    # the subordination rule's heat times (~1e16 t^2) are out of Krylov reach
+@pytest.mark.parametrize("method", sorted(SQRT_FUNCTIONS))
+def test_krylov_poisson_raises_at_once(op1d_random, field1d, method):
+    # the rules' heat times (~1e16 t^2 for Poisson, 50 / lambda_min for
+    # L^{-1/2}) are out of Krylov reach
     with pytest.raises(ConvergenceError, match="eigenbasis"):
-        semigroup.KrylovCalculus(op1d_random).poisson(0.3, field1d.values)
+        SQRT_FUNCTIONS[method](semigroup.KrylovCalculus(op1d_random), field1d.values)
