@@ -35,7 +35,6 @@ from .grid import (
 from .operator import DiscreteOperator, assemble_operator
 from . import corpus as corpus_mod
 from . import decomposition
-from . import oracle_suite
 from . import riesz as riesz_mod
 from . import semigroup
 from . import serialize
@@ -77,6 +76,13 @@ def _number(label: str, value, kind=float):
         raise ConfigError(f"{label}: not a number: {value!r}") from exc
 
 
+def _seed(label: str, value) -> int:
+    seed = _number(label, value, int)
+    if seed < 0:
+        raise ConfigError(f"{label} must be >= 0, got {seed}")
+    return seed
+
+
 def _section(obj: dict, name: str) -> dict:
     spec = obj.get(name)
     if spec is None:
@@ -107,9 +113,9 @@ class ExperimentConfig:
         corpus = _section(obj, "corpus")
         self.corpus_kind = str(corpus.get("kind", "standard"))
         self.corpus_count = _number("corpus.count", corpus.get("count", 20), int)
-        self.corpus_seed = _number("corpus.seed", corpus.get("seed", 7), int)
+        self.corpus_seed = _seed("corpus.seed", corpus.get("seed", 7))
         if overrides.seed is not None:
-            self.corpus_seed = int(overrides.seed)
+            self.corpus_seed = _seed("--seed", overrides.seed)
         self.out = Path(overrides.out or obj.get("out", "reports"))
         self.tolerances = dict(DEFAULT_TOLERANCES)
         for key, val in _section(obj, "tolerances").items():
@@ -153,7 +159,7 @@ class ExperimentConfig:
                 self.grid,
                 _number("coefficients.lam", spec.get("lam", 0.5)),
                 _number("coefficients.Lam", spec.get("Lam", 2.0)),
-                _number("coefficients.seed", spec.get("seed", 1), int),
+                _seed("coefficients.seed", spec.get("seed", 1)),
             )
         if kind == "file":
             path = spec.get("path")
@@ -183,11 +189,9 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"times: {exc}") from exc
 
-    def decomposition_times(self) -> TimeGrid:
-        # the reconstruction residual is pure quadrature truncation, so the
-        # window reaches further down than the functional default
+    def decomposition_times(self, op: DiscreteOperator) -> TimeGrid:
         base = self.times()
-        return TimeGrid(self.grid.spacing / 16.0, base.t_max, base.count)
+        return decomposition.reproduction_times(op, base.t_max, base.count)
 
     def fields(self, op: DiscreteOperator) -> list:
         return corpus_mod.generate_corpus(
@@ -308,7 +312,7 @@ def cmd_functional(cfg: ExperimentConfig) -> None:
 
 def cmd_decompose(cfg: ExperimentConfig) -> None:
     op = cfg.operator()
-    times = cfg.decomposition_times()
+    times = cfg.decomposition_times(op)
     rows = []
     bundles = []
     worst = 0.0
@@ -512,7 +516,7 @@ EQUIVALENCE_QUANTITIES = ("h1_est", "s_h", "n_h", "s_p", "n_p")
 def cmd_equivalence(cfg: ExperimentConfig) -> None:
     op = cfg.operator()
     times = cfg.times()
-    dec_times = cfg.decomposition_times()
+    dec_times = cfg.decomposition_times(op)
     rows = []
     table = {q: [] for q in EQUIVALENCE_QUANTITIES}
     for idx, f in enumerate(cfg.fields(op)):
@@ -554,6 +558,9 @@ def cmd_equivalence(cfg: ExperimentConfig) -> None:
 
 
 def cmd_oracle(cfg: ExperimentConfig) -> None:
+    # the oracle suite, and scipy.integrate with it, loads for this command only
+    from . import oracle_suite
+
     try:
         results = oracle_suite.run_suite(cfg.filter)
     except ValueError as exc:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from .grid import (
     PERIODIC,
@@ -58,6 +57,19 @@ def calderon_constant(M: int) -> float:
     return 2.0 * (M + 2) ** (M + 2) / math.gamma(M + 2)
 
 
+def reproduction_times(op: DiscreteOperator, t_max: float, count: int) -> TimeGrid:
+    """The time grid on which `decompose` reproduces f from its profiles.
+
+    The reconstruction residual is mostly the part of the reproducing
+    integral below t_min, which grows with t_min^2 |lambda| over the
+    spectrum of L.  t_min is h/16, lowered to 1/(4 sqrt(rho)) on stiff
+    operators, where rho, the largest absolute row sum of L, bounds every
+    |lambda| (Gershgorin) without an eigendecomposition.
+    """
+    rho = float(abs(op.matrix).sum(axis=1).max())
+    return TimeGrid(min(op.grid.spacing / 16.0, 0.25 / math.sqrt(rho)), t_max, count)
+
+
 def _require_dyadic(grid: Grid):
     for s in grid.sizes:
         if s & (s - 1):
@@ -92,6 +104,9 @@ def dist_to_complement(grid: Grid, node_set: np.ndarray) -> np.ndarray:
     node is attained by one of its images within half a period per axis,
     and the middle copy sees all of those.
     """
+    # imported here, so commands that build no tent pay no scipy.ndimage import
+    from scipy.ndimage import distance_transform_edt
+
     inside = np.zeros(grid.n_nodes, dtype=bool)
     inside[np.asarray(node_set, dtype=int)] = True
     if inside.all():

@@ -37,7 +37,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import curve_fit
 
 from .grid import Grid, GridError, ScalarField, lattice_distances, lp_norm, restricted_lp_norm
 from .operator import DiscreteOperator
@@ -480,6 +479,10 @@ def _family_apply(op: DiscreteOperator, family: str, t: float, f: ScalarField) -
 
 def _fit_decay(dist: float, ts: np.ndarray, norms: np.ndarray) -> float:
     """beta of the least-squares fit log(norm) = log C - (dist^2/(c t))^beta."""
+    # imported here: only the Gaffney fits need scipy.optimize, and its
+    # import is a large share of every other command's start-up
+    from scipy.optimize import curve_fit
+
     mask = np.isfinite(norms) & (norms > 1e-13)
     if mask.sum() < 5:
         return math.nan

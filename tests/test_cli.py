@@ -1,6 +1,9 @@
 """End-to-end command-line driver behavior."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,11 +143,39 @@ def test_non_dyadic_decompose_grid_is_config_error(tmp_path, capsys):
         ("validate", {"params": {"p": 0}}),
         ("decompose", {"params": {"p": 0.5}}),
         ("validate", {"params": {"eps": 0}}),
+        ("assemble", {"coefficients": {"kind": "random", "seed": -1}}),
+        ("bmo", {"corpus": {"seed": -3}}),
+        ("bmo --seed -2", {}),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, command, extra):
     cfg = write_config(tmp_path, **extra)
-    assert_one_line_config_error(capsys, cli.main([command, "--config", str(cfg)]))
+    code = cli.main(command.split() + ["--config", str(cfg)])
+    assert_one_line_config_error(capsys, code)
+
+
+def test_decompose_reproduces_on_a_stiff_operator(tmp_path):
+    # lambda_max ~ 32x the identity's: the time window must reach below h/16
+    cfg = write_config(
+        tmp_path,
+        grid={"sizes": [16, 16]},
+        coefficients={"kind": "random", "lam": 1.0, "Lam": 32.0, "seed": 0},
+        corpus={"kind": "standard", "count": 3, "seed": 0},
+    )
+    assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_OK
+
+
+def test_cli_import_leaves_optional_scipy_modules_unloaded():
+    # scipy.optimize, scipy.ndimage and the oracle suite (with scipy.integrate)
+    # load inside the one function that needs each of them
+    optional = ("scipy.optimize", "scipy.ndimage", "scipy.integrate", "hardy_lab.oracle_suite")
+    code = f"import sys, hardy_lab.cli; print([m for m in {optional!r} if m in sys.modules])"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_non_finite_norm_exits_four(tmp_path, capsys, monkeypatch):

@@ -28,6 +28,7 @@ from hardy_lab.decomposition import (
     DegenerateFieldError,
     SupportError,
     dist_to_complement,
+    reproduction_times,
     truncated_tent_mask,
 )
 
@@ -41,8 +42,8 @@ def bump_field(grid, center=0.5, width=0.2):
     return ScalarField(v / lp_norm(v, grid, 2), grid)
 
 
-def decomposition_times(grid, count=64):
-    return TimeGrid(grid.spacing / 16.0, 4.0 * max(grid.side_lengths), count)
+def decomposition_times(op, count=64):
+    return reproduction_times(op, 4.0 * max(op.grid.side_lengths), count)
 
 
 def test_calderon_constant_value():
@@ -117,7 +118,7 @@ def test_truncated_tent_masks_are_disjoint_and_telescope(grid1d):
 
 def test_decompose_reconstructs(op1d, grid1d):
     f = bump_field(grid1d)
-    dec = molecular_decompose(f, op1d, M=1, times=decomposition_times(grid1d))
+    dec = molecular_decompose(f, op1d, M=1, times=decomposition_times(op1d))
     rel = lp_norm(dec.residual.values, grid1d, 2) / lp_norm(f.values, grid1d, 2)
     assert rel <= 1e-3
     assert dec.weight_sum > 0
@@ -125,7 +126,7 @@ def test_decompose_reconstructs(op1d, grid1d):
 
 def test_decompose_weight_formula_exact(op1d, grid1d):
     f = bump_field(grid1d)
-    dec = molecular_decompose(f, op1d, M=1, times=decomposition_times(grid1d))
+    dec = molecular_decompose(f, op1d, M=1, times=decomposition_times(op1d))
     c1 = calderon_constant(1)
     for term in dec.terms:
         expected = c1 * 2.0**term.level * term.molecule.cube.volume
@@ -136,7 +137,7 @@ def test_decompose_residual_shrinks_with_quadrature(op1d, grid1d):
     f = bump_field(grid1d)
     residuals = []
     for count in (16, 32, 64):
-        dec = molecular_decompose(f, op1d, M=1, times=decomposition_times(grid1d, count))
+        dec = molecular_decompose(f, op1d, M=1, times=decomposition_times(op1d, count))
         residuals.append(lp_norm(dec.residual.values, grid1d, 2))
     assert residuals[0] > residuals[1] > residuals[2]
 
@@ -145,7 +146,7 @@ def test_decompose_scaling_quantized(op1d, grid1d):
     f = bump_field(grid1d)
     c = 3.0
     cf = ScalarField(c * f.values, grid1d)
-    times = decomposition_times(grid1d)
+    times = decomposition_times(op1d)
     base = molecular_decompose(f, op1d, M=1, times=times)
     scaled = molecular_decompose(cf, op1d, M=1, times=times)
     ratio = scaled.weight_sum / base.weight_sum
@@ -163,7 +164,7 @@ def test_decompose_rejects_nonzero_mean(op1d, grid1d):
 
 def test_decompose_validates_molecules(op1d, grid1d):
     f = bump_field(grid1d)
-    dec = molecular_decompose(f, op1d, M=1, times=decomposition_times(grid1d))
+    dec = molecular_decompose(f, op1d, M=1, times=decomposition_times(op1d))
     assert dec.terms
     reports = [validate_molecule(t.molecule, op1d) for t in dec.terms]
     assert all(rep.checks for rep in reports)
@@ -198,7 +199,7 @@ def test_make_molecule_rejects_oversized_seed(op1d, grid1d):
 
 def test_h1_estimate_dominates_l1(op1d, grid1d):
     f = bump_field(grid1d)
-    est = h1_norm_estimate(f, op1d, times=decomposition_times(grid1d))
+    est = h1_norm_estimate(f, op1d, times=decomposition_times(op1d))
     assert est.estimate >= est.l1_norm
     assert est.s_h_l1 > 0
     assert est.estimate == pytest.approx(est.weight_sum + est.l1_norm)
@@ -229,7 +230,7 @@ def test_h1_estimate_reads_only_the_tents(monkeypatch, op1d, grid1d, which):
     else:
         op = random_op_16x16()
         f = generate_corpus(op, "standard", 1, 0)[0]
-    times = decomposition_times(op.grid)
+    times = decomposition_times(op)
     dec = molecular_decompose(f, op, M=1, times=times)
     krylov = counting(monkeypatch, semigroup.KrylovCalculus, "heat_poly")
     dense = counting(monkeypatch, semigroup.DenseCalculus, "heat_poly")

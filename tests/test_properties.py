@@ -3,13 +3,14 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardy_lab import Grid, assemble_operator, check_ellipticity, random_elliptic_coefficients
 from hardy_lab.grid import DIRICHLET, PERIODIC, ScalarField
-from hardy_lab.decomposition import calderon_constant
-from hardy_lab.semigroup import DenseCalculus, TimeGrid, calculus, default_time_grid
+from hardy_lab.decomposition import calderon_constant, reproduction_times
+from hardy_lab.semigroup import DenseCalculus, calculus, default_time_grid
 from hardy_lab.spaces import duality_pair
 
 
@@ -90,16 +91,13 @@ def test_spectrum_lies_in_ellipticity_sector(pair):
     assert np.abs(np.angle(w)).max() <= math.acos(min(lam / Lam, 1.0)) + 1e-10
 
 
-@settings(max_examples=30, deadline=None)
-@given(pair=operators(), seed=st.integers(0, 2**16))
-def test_calderon_reproduction(pair, seed):
-    op, _ = pair
+def assert_calderon_reproduces(op, seed):
     (f,) = random_fields(op, seed, 1)
     f -= f.mean()
     calc = calculus(op)
     # the time grid `hardy-lab decompose` integrates on
     base = default_time_grid(op.grid)
-    times = TimeGrid(op.grid.spacing / 16.0, base.t_max, base.count)
+    times = reproduction_times(op, base.t_max, base.count)
     for M in (1, 2, 3):
         K = M + 2
         # (t^2 L e^{-t^2 L})^K = (s L)^K e^{-sL} / K^K with s = K t^2
@@ -110,3 +108,17 @@ def test_calderon_reproduction(pair, seed):
         recon = calderon_constant(M) / K**K * sum(terms)
         # the residual tolerance of `hardy-lab decompose`
         assert np.linalg.norm(recon - f) <= 1e-3 * np.linalg.norm(f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=operators(), seed=st.integers(0, 2**16))
+def test_calderon_reproduction(pair, seed):
+    assert_calderon_reproduces(pair[0], seed)
+
+
+@pytest.mark.parametrize("lam, Lam", [(3.0, 3.0), (1.0, 32.0)])
+def test_calderon_reproduction_on_stiff_operators(lam, Lam):
+    # a fixed h/16 window misses 1e-3 on both: its cut-off grows with lambda_max
+    grid = Grid(2, (16, 16), 1.0 / 16, PERIODIC)
+    op = assemble_operator(grid, random_elliptic_coefficients(grid, lam, Lam, 0))
+    assert_calderon_reproduces(op, 0)
