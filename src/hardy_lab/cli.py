@@ -251,9 +251,8 @@ def cmd_assemble(cfg: ExperimentConfig) -> None:
             "coefficients": serialize.coefficients_to_obj(coeff.matrices),
         },
     )
-    calc = semigroup.calculus(op)
-    if isinstance(calc, semigroup.DenseCalculus):
-        w = calc.w
+    if op.n <= semigroup.AUTO_DENSE_MAX:
+        w = semigroup.eigenvalues(op)
         order = np.argsort(w.real, kind="stable")
         rows = [(int(i), w[j].real, w[j].imag) for i, j in enumerate(order)]
         serialize.write_csv(cfg.out / "spectrum.csv", ("index", "re", "im"), rows)

@@ -57,8 +57,14 @@ def calderon_constant(M: int) -> float:
     return 2.0 * (M + 2) ** (M + 2) / math.gamma(M + 2)
 
 
-def reproduction_times(op: DiscreteOperator, t_max: float, count: int) -> TimeGrid:
+def reproduction_times(
+    op: DiscreteOperator, t_max: float | None = None, count: int = 64
+) -> TimeGrid:
     """The time grid on which `decompose` reproduces f from its profiles.
+
+    t_max defaults to four domain sides, the upper end of
+    `semigroup.default_time_grid`; `molecular_decompose` and
+    `h1_norm_estimate` use these defaults when given no times.
 
     The reconstruction residual is mostly the part of the reproducing
     integral below t_min, which grows with t_min^2 |lambda| over the
@@ -67,6 +73,8 @@ def reproduction_times(op: DiscreteOperator, t_max: float, count: int) -> TimeGr
     |lambda| (Gershgorin) without an eigendecomposition.
     """
     rho = float(abs(op.matrix).sum(axis=1).max())
+    if t_max is None:
+        t_max = semigroup.default_time_grid(op.grid).t_max
     return TimeGrid(min(op.grid.spacing / 16.0, 0.25 / math.sqrt(rho)), t_max, count)
 
 
@@ -368,7 +376,7 @@ def molecular_decompose(
     computes it for a caller that reads it.
     """
     grid = op.grid
-    times = times or semigroup.default_time_grid(grid)
+    times = times or reproduction_times(op)
     v, u, s_h, tents = _tents(f, op, M, gamma, times)
     c_m = calderon_constant(M)
     calc = semigroup.calculus(op)
@@ -427,7 +435,7 @@ def h1_norm_estimate(
     The weights C_M 2^k |Q| come from the tent stage alone, so no molecule
     is integrated; weight_sum equals molecular_decompose's exactly.
     """
-    times = times or semigroup.default_time_grid(op.grid)
+    times = times or reproduction_times(op)
     _, _, s_h, tents = _tents(f, op, M, gamma, times)
     weight_sum = float(sum(weight for _, _, weight, _, _ in tents))
     l1 = lp_norm(f.values, op.grid, 1)

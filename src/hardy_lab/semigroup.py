@@ -214,35 +214,38 @@ class DenseCalculus(KrylovCalculus):
     """Functional calculus from one eigendecomposition L = V diag(w) V^{-1}.
 
     Construction raises ConvergenceError unless the eigenbasis reconstructs
-    e^{-t0 L} to 1e-10 against the scaling-and-squaring exponential.
-    Functions of L are evaluated on the eigenvalues; resolvents and
-    negative powers keep the sparse LU routes.
+    e^{-t0 L} to 1e-10 in the Frobenius norm, against a Taylor series of
+    the sparse L (`_reconstruction_error`).  V, V^{-1} and w are the only
+    N x N state.  Functions of L are evaluated on the eigenvalues;
+    resolvents and negative powers keep the sparse LU routes.
     """
+
+    # an adjoint holds transposed views of V and V^{-1} and conjugates
+    # every input and output (see `adjoint`)
+    _conj = False
 
     def __init__(self, op: DiscreteOperator):
         super().__init__(op)
         a = op.matrix.toarray()
         w, v = scipy.linalg.eig(a)
+        del a
         vinv = scipy.linalg.inv(v)
-        wmax = float(np.abs(w).max())
-        t0 = 1.0 / (wmax + 1.0)
-        ref = scipy.linalg.expm(-t0 * a)
-        rec = (v * np.exp(-t0 * w)) @ vinv
-        err = np.linalg.norm(rec - ref) / max(np.linalg.norm(ref), 1e-300)
+        err = _reconstruction_error(op.matrix, w, v, vinv)
         if not err < 1e-10:
             raise ConvergenceError(f"eigenbasis reconstruction error {err:.2e} exceeds 1e-10")
-        self.kernel_mask = np.abs(w) <= 1e-10 * max(wmax, 1.0)
-        if op.kernel_dim:
-            # pin the kernel eigenvalues to exactly zero: roundoff-level
-            # values blow up under the huge times of subordination rules
-            w = np.where(self.kernel_mask, 0.0, w)
+        w, self.kernel_mask = _pin_kernel(w, op.kernel_dim)
         self.w, self.v, self.vinv = w, v, vinv
 
     def _apply_vals(self, vals: np.ndarray, f: np.ndarray) -> np.ndarray:
-        c = self.vinv @ f
-        if c.ndim == 1:
-            return self.v @ (vals * c)
-        return self.v @ (vals[:, None] * c)
+        """V (vals * V^{-1} f): vals of shape (N,) with a vector or a block
+        f, or of shape (N, T) with a vector f."""
+        c = self.vinv @ (f.conj() if self._conj else f)
+        if vals.ndim < c.ndim:
+            vals = vals[:, None]
+        elif c.ndim < vals.ndim:
+            c = c[:, None]
+        out = self.v @ ((vals.conj() if self._conj else vals) * c)
+        return out.conj() if self._conj else out
 
     def heat(self, s: float, v: np.ndarray) -> np.ndarray:
         if s == 0:
@@ -250,12 +253,11 @@ class DenseCalculus(KrylovCalculus):
         return self._apply_vals(np.exp(-s * self.w), v)
 
     def heat_batch(self, times: np.ndarray, v: np.ndarray) -> np.ndarray:
-        c = self.vinv @ v
         ex = -np.outer(self.w, times)
         # roundoff can push a kernel eigenvalue slightly negative; the
         # true spectrum is accretive, so clamp the growth direction
         ex.real = np.minimum(ex.real, 0.0)
-        return self.v @ (np.exp(ex) * c[:, None])
+        return self._apply_vals(np.exp(ex), v)
 
     def heat_poly(self, k: int, s: float, v: np.ndarray) -> np.ndarray:
         return self._apply_vals((s * self.w) ** k * np.exp(-s * self.w), v)
@@ -284,12 +286,77 @@ class DenseCalculus(KrylovCalculus):
     def adjoint(self) -> "DenseCalculus":
         """The calculus of L* = V^{-H} diag(conj w) V^H, from this eigenbasis.
 
-        No eigendecomposition and no reconstruction check: conjugate
+        No copy of it either: with P = V^{-T} and Q = V^T, transposed views,
+        g(L*) f = conj(P conj(g(conj w)) Q conj(f)) for every symbol g, so
+        the adjoint holds P, Q and conj w and conjugates on the way in and
+        out.  No eigendecomposition and no reconstruction check: conjugate
         transposition leaves the reconstruction error unchanged.
         """
         adj = super().adjoint()
-        adj.w, adj.v, adj.vinv = self.w.conj(), self.vinv.conj().T, self.v.conj().T
+        adj.w, adj.v, adj.vinv = self.w.conj(), self.vinv.T, self.v.T
+        adj._conj = not self._conj
         return adj
+
+
+# columns per block of the reconstruction check: its working arrays are
+# N x _CHECK_BLOCK, not N x N
+_CHECK_BLOCK = 64
+
+
+def _reconstruction_error(
+    matrix: sp.spmatrix, w: np.ndarray, v: np.ndarray, vinv: np.ndarray
+) -> float:
+    """||V e^{-t0 w} V^{-1} - e^{-t0 L}||_F / ||e^{-t0 L}||_F, t0 = 1/(max|w| + 1).
+
+    All N columns are compared, _CHECK_BLOCK at a time, and the squared
+    norms summed.  The reference columns e^{-t0 L} e_j are a Taylor series
+    of the sparse L in s = ceil(||t0 L||_1) steps of 1-norm eta <= 1, each
+    summed over its first m terms, m the least with remainder bound
+    e^eta eta^m / m! <= 1e-16 (after Al-Mohy & Higham, SIAM J. Sci. Comput.
+    33, 2011).
+    """
+    n = w.size
+    t0 = 1.0 / (float(np.abs(w).max()) + 1.0)
+    norm1 = t0 * float(abs(matrix).sum(axis=0).max())
+    steps = max(1, math.ceil(norm1))
+    eta = norm1 / steps
+    m, bound = 0, math.exp(eta)
+    while bound > 1e-16:
+        m += 1
+        bound *= eta / m
+    step = (-t0 / steps) * matrix
+    decay = np.exp(-t0 * w)[:, None]
+    diff2 = ref2 = 0.0
+    for lo in range(0, n, _CHECK_BLOCK):
+        hi = min(lo + _CHECK_BLOCK, n)
+        ref = np.zeros((n, hi - lo), dtype=complex)
+        ref[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
+        for _ in range(steps):
+            term = ref
+            for k in range(1, m):
+                term = (step @ term) / k
+                ref += term
+        rec = v @ (decay * vinv[:, lo:hi])
+        diff2 += float(np.linalg.norm(rec - ref)) ** 2
+        ref2 += float(np.linalg.norm(ref)) ** 2
+    return math.sqrt(diff2 / max(ref2, 1e-300))
+
+
+def _pin_kernel(w: np.ndarray, kernel_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues with |w| <= 1e-10 max(|w|max, 1) set to exactly zero
+    where L has a kernel, and that mask.
+
+    Roundoff-level kernel eigenvalues blow up under the huge times of the
+    subordination rules; on Dirichlet grids w is returned as is.
+    """
+    mask = np.abs(w) <= 1e-10 * max(float(np.abs(w).max()), 1.0)
+    return (np.where(mask, 0.0, w) if kernel_dim else w), mask
+
+
+def eigenvalues(op: DiscreteOperator) -> np.ndarray:
+    """The eigenvalues of L, kernel pinned as in DenseCalculus, with no
+    eigenvectors, inverse or reconstruction check."""
+    return _pin_kernel(scipy.linalg.eigvals(op.matrix.toarray()), op.kernel_dim)[0]
 
 
 _CALCULI: "weakref.WeakKeyDictionary[DiscreteOperator, KrylovCalculus]" = (

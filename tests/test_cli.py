@@ -6,11 +6,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardy_lab import Grid, cli, random_elliptic_coefficients, semigroup, serialize
+from hardy_lab import (
+    Grid,
+    assemble_operator,
+    cli,
+    random_elliptic_coefficients,
+    semigroup,
+    serialize,
+)
 from hardy_lab.decomposition import DegenerateFieldError
 from hardy_lab.semigroup import KernelComponentError
 
@@ -110,6 +118,35 @@ def test_assemble_builds_the_coefficient_field_once(tmp_path, monkeypatch):
     )
     assert cli.main(["assemble", "--config", str(write_config(tmp_path))]) == cli.EXIT_OK
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "grid, boundary",
+    [([16, 16], "periodic"), ([64], "dirichlet")],
+    ids=["16x16-periodic", "64-dirichlet"],
+)
+def test_assemble_writes_the_sorted_spectrum(tmp_path, grid, boundary):
+    coeff = {"kind": "random", "lam": 0.5, "Lam": 2.0, "seed": 1}
+    cfg = write_config(tmp_path, grid={"sizes": grid, "boundary": boundary}, coefficients=coeff)
+    assert cli.main(["assemble", "--config", str(cfg)]) == cli.EXIT_OK
+    header, rows = serialize.read_csv(tmp_path / "reports" / "spectrum.csv")
+    assert header == ["index", "re", "im"]
+    got = np.array([float(re) + 1j * float(im) for _, re, im in rows])
+    g = Grid(len(grid), tuple(grid), 1.0 / max(grid), boundary)
+    op = assemble_operator(g, random_elliptic_coefficients(g, 0.5, 2.0, seed=1))
+    w = semigroup.DenseCalculus(op).w
+    w = w[np.argsort(w.real, kind="stable")]
+    assert got.size == op.n
+    assert np.abs(got - w).max() <= 1e-10 * np.abs(w).max()
+    # the kernel row is pinned to exactly zero on periodic grids only
+    assert (np.count_nonzero(got == 0) == 1) == (boundary == "periodic")
+
+
+def test_assemble_writes_no_spectrum_past_dense_size(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.semigroup, "AUTO_DENSE_MAX", 63)
+    assert cli.main(["assemble", "--config", str(write_config(tmp_path))]) == cli.EXIT_OK
+    assert (tmp_path / "reports" / "operator.json").exists()
+    assert not (tmp_path / "reports" / "spectrum.csv").exists()
 
 
 def test_degenerate_file_coefficients_are_config_error(tmp_path, capsys):

@@ -43,7 +43,7 @@ def bump_field(grid, center=0.5, width=0.2):
 
 
 def decomposition_times(op, count=64):
-    return reproduction_times(op, 4.0 * max(op.grid.side_lengths), count)
+    return reproduction_times(op, count=count)
 
 
 def test_calderon_constant_value():
@@ -238,6 +238,18 @@ def test_h1_estimate_reads_only_the_tents(monkeypatch, op1d, grid1d, which):
     assert krylov == dense == []
     assert est.weight_sum == dec.weight_sum
     assert est.s_h_l1 == lp_norm(dec.s_h.values, op.grid, 1)
+
+
+def test_decompose_without_times_uses_the_reproduction_window():
+    # default_time_grid's t_min = h/4 left a 1.05e-2 residual here
+    op = random_op_16x16()
+    f = generate_corpus(op, "standard", 1, 0)[0]
+    dec = molecular_decompose(f, op, M=1)
+    rel = lp_norm(dec.residual.values, op.grid, 2) / lp_norm(f.values, op.grid, 2)
+    assert rel < 1e-3
+    assert h1_norm_estimate(f, op).weight_sum == dec.weight_sum
+    explicit = molecular_decompose(f, op, M=1, times=decomposition_times(op))
+    assert dec.weight_sum == explicit.weight_sum
 
 
 def test_molecule_corpus_builds_two_annular_tables_per_molecule(monkeypatch, op1d_random):

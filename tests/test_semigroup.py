@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -81,6 +82,7 @@ PARITY = {
     "heat_block": (lambda c, v: c.heat(0.05, np.stack([v, v.conj()], axis=1)), 1e-8),
     "heat_batch": (lambda c, v: c.heat_batch(np.array([1e-4, 1e-2, 0.1]), v), 1e-8),
     "heat_poly": (lambda c, v: c.heat_poly(2, 0.01, v), 1e-8),
+    "heat_profile": (lambda c, v: c.heat_profile(np.array([0.01, 0.1, 0.3]), v, 1), 1e-8),
     "resolvent": (lambda c, v: c.resolvent(0.01, v), 1e-10),
     "neg_power": (lambda c, v: c.neg_power(2, v), 1e-10),
 }
@@ -134,6 +136,60 @@ def test_failed_eigenbasis_check_selects_krylov(monkeypatch, grid1d, field1d):
     ref = scipy.linalg.expm(-0.05 * op.matrix.toarray()) @ field1d.values
     got = heat_apply(op, 0.05, field1d).values
     assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+def dense_reconstruction_error(op):
+    """The eigenbasis check written with N x N arrays: the dense expm of L
+    against the full reconstructed matrix."""
+    a = op.matrix.toarray()
+    w, v = scipy.linalg.eig(a)
+    t0 = 1.0 / (np.abs(w).max() + 1.0)
+    ref = scipy.linalg.expm(-t0 * a)
+    rec = (v * np.exp(-t0 * w)) @ scipy.linalg.inv(v)
+    return np.linalg.norm(rec - ref) / np.linalg.norm(ref), w, v
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(1, (64,), 1.0 / 64),
+        Grid(2, (16, 16), 1.0 / 16),
+        Grid(2, (12, 12), 1.0 / 13, DIRICHLET),
+        Grid(2, (10, 10), 1.0 / 10),
+    ],
+    ids=["1d-64", "2d-16x16", "2d-12x12-dirichlet", "2d-10x10"],
+)
+def test_blocked_reconstruction_error_matches_dense_expm(grid):
+    # 144 and 100 nodes leave a partial last block
+    op = assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, seed=1))
+    dense, w, v = dense_reconstruction_error(op)
+    blocked = semigroup._reconstruction_error(op.matrix, w, v, scipy.linalg.inv(v))
+    assert blocked < 1e-10 and dense < 1e-10
+    # the 1e-16 floor is one rounding of a unit-norm reference: where the
+    # error itself is a few ulp (1.7e-15 on the 1D grid) the two references'
+    # own roundoff moves it by ~1e-17
+    assert abs(blocked - dense) <= 1e-3 * dense + 1e-16
+
+
+def test_dense_calculus_keeps_only_its_eigenbasis(grid2d):
+    op = assemble_operator(grid2d, random_elliptic_coefficients(grid2d, 0.5, 2.0, seed=1))
+    unit = 16 * op.n**2  # bytes of one complex N x N array
+    semigroup.DenseCalculus(op)  # warm caches and imports outside the trace
+    tracemalloc.start()
+    try:
+        calc = semigroup.DenseCalculus(op)
+        built, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        adj = calc.adjoint()
+        _, adj_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # V, V^{-1}, and eig's input copy and workspace; the dense check held ~10.5
+    assert peak <= 6 * unit
+    assert built <= 2.1 * unit
+    # transposed views of V and V^{-1}: no conjugated copies
+    assert adj_peak - built <= 0.1 * unit
+    assert np.shares_memory(adj.v, calc.vinv) and np.shares_memory(adj.vinv, calc.v)
 
 
 def test_calculus_cache_releases_dropped_operators(grid1d):
