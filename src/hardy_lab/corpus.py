@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, ScalarField, lp_norm
+from .grid import Grid, GridError, ScalarField, lp_norm
 from .operator import DiscreteOperator
 from . import decomposition
 
@@ -72,7 +72,7 @@ def molecule_corpus(
         if 4 <= c.nnodes <= min(grid.sizes) // 4
     ]
     if not cubes:
-        raise ValueError("grid too small for a molecule corpus")
+        raise GridError("grid too small for a molecule corpus")
     out = []
     for _ in range(count):
         cube = cubes[int(rng.integers(len(cubes)))]

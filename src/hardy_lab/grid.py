@@ -141,13 +141,7 @@ def restricted_lp_norm(
     values: np.ndarray, grid: Grid, nodes: np.ndarray, p: float = 2.0
 ) -> float:
     """L^p norm over a node subset (empty subset gives 0)."""
-    nodes = np.asarray(nodes, dtype=int)
-    if nodes.size == 0:
-        return 0.0
-    a = np.abs(np.asarray(values).ravel()[nodes])
-    if math.isinf(p):
-        return float(a.max(initial=0.0))
-    return float((a**p).sum() ** (1.0 / p) * grid.cell_volume ** (1.0 / p))
+    return lp_norm(np.asarray(values).ravel()[np.asarray(nodes, dtype=int)], grid, p)
 
 
 # ---------------------------------------------------------------------------

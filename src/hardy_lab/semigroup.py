@@ -9,21 +9,19 @@ sparse exponential actions and direct sparse solves (`KrylovCalculus`).
 Both backends share the sparse LU routes for resolvents and negative
 powers.
 
-Functions of sqrt(L) are evaluated on the eigenbasis only.  The Poisson
-semigroup goes through the subordination formula
+Functions of sqrt(L) are evaluated on the eigenbasis only.  L^{1/2} and
+L^{-1/2} are the principal z^{1/2} and z^{-1/2} on the eigenvalues, the
+latter 0 on the kernel.  The Poisson semigroup still goes through the
+subordination formula
 
     e^{-t sqrt(L)} f = (1/sqrt(pi)) * int_0^inf u^{-1/2} e^{-u} e^{-t^2 L/(4u)} f du,
 
-and L^{-1/2}, on the complement of the kernel, through
-
-    L^{-1/2} f = (1/sqrt(pi)) * int_0^inf e^{-sL} f ds/sqrt(s),
-
-each by a trapezoid rule in log u (log s), which turns the endpoint
-singularities and the exponential tails into doubly exponential decay;
-the prefactors make t = 0 the identity and L^{-1/2} L^{1/2} = I exact on
-eigenmodes.  Their heat times reach ~1e16 t^2 and 50 / lambda_min, out of
-reach of a Krylov action, so `KrylovCalculus` refuses Poisson, L^{1/2}
-and L^{-1/2} alike.
+by a trapezoid rule in log u over `heat_batch`, which turns the endpoint
+singularity and the exponential tail into doubly exponential decay; the
+prefactor makes t = 0 the identity.  The rule stays while `perfbench`
+counts its heat columns.  Its heat times reach ~1e16 t^2, out of reach of
+a Krylov action, and a Krylov route has no z^{+-1/2}, so `KrylovCalculus`
+refuses Poisson, L^{1/2} and L^{-1/2} alike.
 """
 
 from __future__ import annotations
@@ -38,7 +36,15 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, GridError, ScalarField, lattice_distances, lp_norm, restricted_lp_norm
+from .grid import (
+    Grid,
+    GridError,
+    ScalarField,
+    VectorField,
+    lattice_distances,
+    lp_norm,
+    restricted_lp_norm,
+)
 from .operator import DiscreteOperator
 
 AUTO_DENSE_MAX = 1024
@@ -149,8 +155,8 @@ class KrylovCalculus:
         return out
 
     def _refuse(self, what: str):
-        # a Krylov action's cost grows with its time, and these rules' heat
-        # times reach ~1e16 t^2 (Poisson) or 50 / lambda_min (L^{-1/2})
+        # a Krylov action's cost grows with its time, and the Poisson rule's
+        # heat times reach ~1e16 t^2; z^{+-1/2} have no heat-type route here
         raise ConvergenceError(f"{what} needs the eigenbasis; n = {self.n} is served by Krylov")
 
     def poisson(self, t: float, v: np.ndarray) -> np.ndarray:
@@ -253,11 +259,7 @@ class DenseCalculus(KrylovCalculus):
         return self._apply_vals(np.exp(-s * self.w), v)
 
     def heat_batch(self, times: np.ndarray, v: np.ndarray) -> np.ndarray:
-        ex = -np.outer(self.w, times)
-        # roundoff can push a kernel eigenvalue slightly negative; the
-        # true spectrum is accretive, so clamp the growth direction
-        ex.real = np.minimum(ex.real, 0.0)
-        return self._apply_vals(np.exp(ex), v)
+        return self._apply_vals(np.exp(-np.outer(self.w, times)), v)
 
     def heat_poly(self, k: int, s: float, v: np.ndarray) -> np.ndarray:
         return self._apply_vals((s * self.w) ** k * np.exp(-s * self.w), v)
@@ -272,16 +274,10 @@ class DenseCalculus(KrylovCalculus):
         return self._apply_vals(np.sqrt(self.w.astype(complex)), v)
 
     def inv_sqrt(self, v: np.ndarray) -> np.ndarray:
-        """L^{-1/2} v for a mean-zero v, by 96 nodes in log s over heat_batch.
-
-        The s-window comes from the eigenvalues: the integrand is ~sqrt(s)
-        below 1/lambda_max and ~e^{-s lambda_min} above 1/lambda_min, and
-        both tails are pushed below 1e-8.
-        """
-        w = np.abs(self.w)
-        lam_min = float(w[~self.kernel_mask].min())
-        s, weights = _log_trapezoid(math.log(1e-16 / w.max()), math.log(50.0 / lam_min), 96)
-        return self.heat_batch(s, v) @ (weights * np.sqrt(s)) / math.sqrt(math.pi)
+        """L^{-1/2} v for a mean-zero v: the principal branch of `sqrt`,
+        inverted off the kernel and 0 on it."""
+        root = np.sqrt(np.where(self.kernel_mask, 1.0, self.w).astype(complex))
+        return self._apply_vals(np.where(self.kernel_mask, 0.0, 1.0 / root), v)
 
     def adjoint(self) -> "DenseCalculus":
         """The calculus of L* = V^{-H} diag(conj w) V^H, from this eigenbasis.
@@ -347,7 +343,8 @@ def _pin_kernel(w: np.ndarray, kernel_dim: int) -> tuple[np.ndarray, np.ndarray]
     where L has a kernel, and that mask.
 
     Roundoff-level kernel eigenvalues blow up under the huge times of the
-    subordination rules; on Dirichlet grids w is returned as is.
+    subordination rule, and `heat_batch` exponentiates -t w unclamped; on
+    Dirichlet grids w is returned as is.
     """
     mask = np.abs(w) <= 1e-10 * max(float(np.abs(w).max()), 1.0)
     return (np.where(mask, 0.0, w) if kernel_dim else w), mask
@@ -445,16 +442,6 @@ def neg_power_apply(op: DiscreteOperator, k: int, f: ScalarField) -> ScalarField
     return ScalarField(calculus(op).neg_power(k, v), op.grid)
 
 
-def _log_trapezoid(u_lo: float, u_hi: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes e^{u_i} and trapezoid weights in u for count points of
-    [u_lo, u_hi]: int g(s) ds/s ~ sum_i w_i g(e^{u_i})."""
-    u = np.linspace(u_lo, u_hi, count)
-    weights = np.full(count, u[1] - u[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return np.exp(u), weights
-
-
 def _subordination_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes u_i and coefficients c_i so that for every lambda >= 0
 
@@ -465,8 +452,9 @@ def _subordination_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
     substitution, uniformly in t^2 lambda, so the rule converges
     geometrically where a Laguerre rule stalls for stiff spectra.
     """
-    nodes, weights = _log_trapezoid(-38.0, 4.0, count)
-    return nodes, weights * np.sqrt(nodes) * np.exp(-nodes) / math.sqrt(math.pi)
+    rule = TimeGrid(math.exp(-38.0), math.exp(4.0), count)
+    nodes = rule.samples
+    return nodes, rule.log_weights * np.sqrt(nodes) * np.exp(-nodes) / math.sqrt(math.pi)
 
 
 def poisson_apply(op: DiscreteOperator, t: float, f: ScalarField) -> ScalarField:
@@ -535,12 +523,12 @@ def _family_apply(op: DiscreteOperator, family: str, t: float, f: ScalarField) -
         return np.abs(calculus(op).heat_poly(1, t, _check_field(op, f)))
     if family == "grad_heat":
         u = heat_apply(op, t, f).values
-        return math.sqrt(t) * np.sqrt((np.abs(op.gradient(u)) ** 2).sum(axis=0))
+        return math.sqrt(t) * VectorField(op.gradient(u), op.grid).magnitude()
     if family == "resolvent":
         return np.abs(resolvent_apply(op, math.sqrt(t), f).values)
     if family == "grad_resolvent":
         u = resolvent_apply(op, math.sqrt(t), f).values
-        return math.sqrt(t) * np.sqrt((np.abs(op.gradient(u)) ** 2).sum(axis=0))
+        return math.sqrt(t) * VectorField(op.gradient(u), op.grid).magnitude()
     raise ValueError(f"unknown family {family!r}")
 
 

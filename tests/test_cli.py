@@ -183,6 +183,8 @@ def test_non_dyadic_decompose_grid_is_config_error(tmp_path, capsys):
         ("assemble", {"coefficients": {"kind": "random", "seed": -1}}),
         ("bmo", {"corpus": {"seed": -3}}),
         ("bmo --seed -2", {}),
+        ("riesz --grid 8", {}),
+        ("validate --grid 16x12", {}),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, command, extra):

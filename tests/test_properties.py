@@ -91,6 +91,14 @@ def test_spectrum_lies_in_ellipticity_sector(pair):
     assert np.abs(np.angle(w)).max() <= math.acos(min(lam / Lam, 1.0)) + 1e-10
 
 
+@settings(max_examples=30, deadline=None)
+@given(pair=operators())
+def test_pinned_spectrum_is_accretive(pair):
+    # DenseCalculus.heat_batch exponentiates -t w with no clamp on growth
+    w = DenseCalculus(pair[0]).w
+    assert (w.real >= 0).all()
+
+
 def assert_calderon_reproduces(op, seed):
     (f,) = random_fields(op, seed, 1)
     f -= f.mean()

@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from hardy_lab import (
+    Grid,
     ScalarField,
     VectorField,
+    assemble_operator,
     inv_sqrt_apply,
     lp_norm,
+    random_elliptic_coefficients,
     riesz_apply,
     riesz_h1_experiment,
     sqrt_apply,
 )
+from hardy_lab.grid import DIRICHLET, PERIODIC
+from hardy_lab.oracle_suite import _inv_sqrt_by_sqrtm
 from hardy_lab.riesz import commutator_slope, gaffney_commutator_check
 from hardy_lab.semigroup import KernelComponentError
 from conftest import mean_zero_field
@@ -31,6 +36,20 @@ def test_inv_sqrt_linearity(op1d, grid1d):
     lhs = inv_sqrt_apply(op1d, combo).values
     rhs = c * inv_sqrt_apply(op1d, f).values + inv_sqrt_apply(op1d, g).values
     assert np.abs(lhs - rhs).max() <= 1e-9 * np.abs(rhs).max()
+
+
+@pytest.mark.parametrize(
+    "sizes, boundary",
+    [((64,), PERIODIC), ((16, 16), PERIODIC), ((12, 12), DIRICHLET)],
+)
+def test_inv_sqrt_matches_dense_square_root(sizes, boundary):
+    # the eigenbasis symbol against a Schur square root, which forms no eigenbasis
+    grid = Grid(len(sizes), sizes, 1.0 / max(sizes), boundary)
+    op = assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, seed=1))
+    f = mean_zero_field(grid, seed=5)
+    ref = _inv_sqrt_by_sqrtm(op, f.values)
+    got = inv_sqrt_apply(op, f).values
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_riesz_rejects_kernel_component(op1d, grid1d):
