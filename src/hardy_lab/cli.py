@@ -166,10 +166,10 @@ class ExperimentConfig:
             if not path:
                 raise ConfigError("coefficients.path required for kind 'file'")
             try:
-                mats = serialize.obj_to_coefficients(json.loads(Path(path).read_text()))
+                mats = np.load(path)
                 # the declared bounds are placeholders until they are measured
                 lam, Lam = check_ellipticity(CoefficientField(self.grid, mats, 1.0, 1.0))
-            except (OSError, KeyError, TypeError, ValueError) as exc:
+            except (OSError, EOFError, TypeError, ValueError) as exc:
                 raise ConfigError(f"coefficients file {path}: {exc}") from exc
             return CoefficientField(self.grid, mats, lam, Lam)
         raise ConfigError(f"unknown coefficient kind {kind!r}")
@@ -248,9 +248,9 @@ def cmd_assemble(cfg: ExperimentConfig) -> None:
                 "boundary": cfg.grid.boundary,
             },
             "kernel_dim": op.kernel_dim,
-            "coefficients": serialize.coefficients_to_obj(coeff.matrices),
         },
     )
+    np.save(cfg.out / "coefficients.npy", coeff.matrices)
     if op.n <= semigroup.AUTO_DENSE_MAX:
         w = semigroup.eigenvalues(op)
         order = np.argsort(w.real, kind="stable")
@@ -314,6 +314,7 @@ def cmd_decompose(cfg: ExperimentConfig) -> None:
     times = cfg.decomposition_times(op)
     rows = []
     bundles = []
+    molecules = []
     worst = 0.0
     for idx, f in enumerate(cfg.fields(op)):
         dec = decomposition.molecular_decompose(
@@ -348,18 +349,20 @@ def cmd_decompose(cfg: ExperimentConfig) -> None:
                             "anchor": list(t.molecule.cube.anchor),
                             "nnodes": t.molecule.cube.nnodes,
                         },
-                        "molecule": serialize.field_to_obj(t.molecule.field),
                     }
                     for t in dec.terms
                 ],
             }
         )
+        molecules.extend(t.molecule.field.values for t in dec.terms)
     serialize.write_csv(
         cfg.out / "decomposition_summary.csv",
         ("field", "k", "j", "weight", "validated"),
         rows,
     )
     serialize.write_json(cfg.out / "decomposition.json", {"decompositions": bundles})
+    # row i holds the values of the i-th term of decomposition.json, field by field
+    np.save(cfg.out / "molecules.npy", np.array(molecules, complex).reshape(-1, cfg.grid.n_nodes))
     print(f"decomposed {cfg.corpus_count} fields, worst residual {worst:.3e}")
     if worst > cfg.tolerances["residual"]:
         raise AssertionFailure(

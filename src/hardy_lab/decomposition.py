@@ -34,7 +34,6 @@ from . import semigroup
 from .functionals import ConeSpec, SpaceTimeField, cone_integrate, hl_maximal
 from .semigroup import TimeGrid
 
-WHITNEY_C1 = 1.0 / 8.0
 WHITNEY_C2 = 0.5
 
 
@@ -235,8 +234,7 @@ def _annular_table(
 ) -> MoleculeReport:
     """Annulus-by-annulus decay table for the field and its negative powers."""
     grid = op.grid
-    imax = cube.max_annulus()
-    annuli = [cube.annulus(i) for i in range(imax + 1)]
+    annuli = cube.annuli()
     ell2 = cube.sidelength**2
     checks = []
     max_ratio = 0.0

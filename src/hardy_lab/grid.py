@@ -277,21 +277,17 @@ class Cube:
             flat = (per_axis[0][:, None] * self.grid.sizes[1] + per_axis[1][None, :]).ravel()
         return np.unique(flat)
 
-    def annulus(self, i: int) -> np.ndarray:
-        """S_0 = Q; S_i = 2^i Q minus 2^(i-1) Q for i >= 1 (may be empty)."""
-        if i == 0:
-            return self.node_set(0)
-        return np.setdiff1d(self.node_set(i), self.node_set(i - 1), assume_unique=True)
-
-    def max_annulus(self) -> int:
-        """Largest i with 2^i Q not yet covering the whole grid."""
-        i = 0
-        n = self.grid.n_nodes
-        while self.node_set(i).size < n:
-            i += 1
-            if 2**i > 4 * max(self.grid.sizes):
-                break
-        return i
+    def annuli(self) -> list:
+        """S_0 = Q and S_i = 2^i Q minus 2^(i-1) Q (possibly empty), up to the
+        first i where 2^i Q covers the grid or 2^i exceeds 4 max(sizes)."""
+        sets = [self.node_set(0)]
+        cap = 4 * max(self.grid.sizes)
+        while sets[-1].size < self.grid.n_nodes and 2 ** (len(sets) - 1) <= cap:
+            sets.append(self.node_set(len(sets)))
+        return sets[:1] + [
+            np.setdiff1d(outer, inner, assume_unique=True)
+            for inner, outer in zip(sets, sets[1:])
+        ]
 
 
 def full_grid_cube(grid: Grid) -> Cube:

@@ -1,8 +1,10 @@
-"""Stable serialization for reports: CSV bodies and JSON bundles.
+"""Stable serialization for reports: CSV tables and JSON bundles of scalars.
 
 Floats are formatted with a fixed 12-significant-digit format so that
 repeated runs with the same inputs produce byte-identical files.  No
 timestamps enter report bodies; run metadata lives in its own file.
+Arrays with one entry per node or cell (coefficients, molecules) are not
+encoded here: commands write and read them with NumPy's own .npy format.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-
-from .grid import ScalarField
 
 
 def fmt(x) -> str:
@@ -42,26 +42,3 @@ def read_csv(path) -> tuple[list, list]:
 
 def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def field_to_obj(field: ScalarField) -> dict:
-    return {
-        "sizes": list(field.grid.sizes),
-        "re": [float(v) for v in field.values.real],
-        "im": [float(v) for v in field.values.imag],
-    }
-
-
-def coefficients_to_obj(matrices: np.ndarray) -> dict:
-    return {
-        "shape": list(matrices.shape),
-        "re": [float(v) for v in matrices.real.ravel()],
-        "im": [float(v) for v in matrices.imag.ravel()],
-    }
-
-
-def obj_to_coefficients(obj: dict) -> np.ndarray:
-    shape = tuple(obj["shape"])
-    re = np.array(obj["re"], dtype=float).reshape(shape)
-    im = np.array(obj["im"], dtype=float).reshape(shape)
-    return re + 1j * im

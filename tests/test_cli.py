@@ -15,6 +15,9 @@ from hardy_lab import (
     Grid,
     assemble_operator,
     cli,
+    generate_corpus,
+    identity_coefficients,
+    lp_norm,
     random_elliptic_coefficients,
     semigroup,
     serialize,
@@ -97,8 +100,8 @@ def assert_one_line_config_error(capsys, code):
 
 
 def write_coefficients(tmp_path, matrices):
-    path = tmp_path / "coefficients.json"
-    path.write_text(json.dumps(serialize.coefficients_to_obj(matrices)))
+    path = tmp_path / "coefficients.npy"
+    np.save(path, matrices)
     return {"kind": "file", "path": str(path)}
 
 
@@ -106,8 +109,42 @@ def test_file_coefficients_are_measured(tmp_path):
     coeff = random_elliptic_coefficients(Grid(1, (64,), 1.0 / 64), 0.5, 2.0, seed=1)
     cfg = write_config(tmp_path, coefficients=write_coefficients(tmp_path, coeff.matrices))
     assert cli.main(["assemble", "--config", str(cfg)]) == cli.EXIT_OK
-    obj = json.loads((tmp_path / "reports" / "operator.json").read_text())
-    assert obj["coefficients"] == serialize.coefficients_to_obj(coeff.matrices)
+    assert np.array_equal(np.load(tmp_path / "reports" / "coefficients.npy"), coeff.matrices)
+
+
+def test_assembled_coefficients_feed_back_in(tmp_path):
+    grid = {"sizes": [16, 16]}
+    coeff = {"kind": "random", "lam": 0.5, "Lam": 2.0, "seed": 4}
+    cfg = write_config(tmp_path, grid=grid, coefficients=coeff)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["assemble", "--config", str(cfg), "--out", str(first)]) == cli.EXIT_OK
+    coeff = {"kind": "file", "path": str(first / "coefficients.npy")}
+    cfg = write_config(tmp_path, grid=grid, coefficients=coeff)
+    assert cli.main(["assemble", "--config", str(cfg), "--out", str(second)]) == cli.EXIT_OK
+    for name in ("spectrum.csv", "coefficients.npy", "operator.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, write",
+    [
+        ("empty.npy", lambda path: path.write_bytes(b"")),
+        (
+            "coefficients.json",
+            lambda path: path.write_text(
+                json.dumps({"shape": [64, 1, 1], "re": [1.0] * 64, "im": [0.0] * 64})
+            ),
+        ),
+        ("short.npy", lambda path: np.save(path, np.ones((32, 1, 1), dtype=complex))),
+        ("bundle.npz", lambda path: np.savez(path, matrices=np.ones((64, 1, 1)))),
+    ],
+    ids=["empty", "old-json", "wrong-shape", "npz"],
+)
+def test_bad_coefficient_files_are_config_errors(tmp_path, capsys, name, write):
+    path = tmp_path / name
+    write(path)
+    cfg = write_config(tmp_path, coefficients={"kind": "file", "path": str(path)})
+    assert_one_line_config_error(capsys, cli.main(["assemble", "--config", str(cfg)]))
 
 
 def test_assemble_builds_the_coefficient_field_once(tmp_path, monkeypatch):
@@ -228,6 +265,30 @@ def test_non_finite_norm_exits_four(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_NONCONVERGENCE
     assert err.startswith("non-convergence: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_decompose_writes_one_molecule_row_per_term(tmp_path):
+    cfg = write_config(tmp_path)
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out in (first, second):
+        assert cli.main(["decompose", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    assert (first / "molecules.npy").read_bytes() == (second / "molecules.npy").read_bytes()
+    molecules = np.load(first / "molecules.npy")
+    bundles = json.loads((first / "decomposition.json").read_text())["decompositions"]
+    grid = Grid(1, (64,), 1.0 / 64)
+    fields = generate_corpus(
+        assemble_operator(grid, identity_coefficients(grid)), "standard", 3, 7
+    )
+    assert molecules.dtype == np.complex128
+    assert molecules.shape == (sum(len(b["terms"]) for b in bundles), grid.n_nodes)
+    row = 0
+    for bundle, f in zip(bundles, fields, strict=True):
+        assert all("molecule" not in term for term in bundle["terms"])
+        weights = np.array([term["weight"] for term in bundle["terms"]])
+        recon = weights @ molecules[row : row + weights.size]
+        row += weights.size
+        rel = lp_norm(f.values - recon, grid, 2) / lp_norm(f.values, grid, 2)
+        assert abs(rel - bundle["residual_rel"]) <= 1e-12
 
 
 def test_failed_assertion_exits_two(tmp_path):

@@ -114,7 +114,7 @@ def test_cube_dilation_and_annuli(grid1d):
     inner = set(c.node_set(0))
     first = set(c.node_set(1))
     assert inner < first
-    ann = set(c.annulus(1))
+    ann = set(c.annuli()[1])
     assert ann == first - inner
     assert not ann & inner
 
