@@ -123,6 +123,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown tolerance {key!r}")
             self.tolerances[key] = _number(f"tolerances.{key}", val)
         self.filter = overrides.filter
+        # the operator built by `operator()`, kept for run_metadata.json
+        self.op: DiscreteOperator | None = None
         if not 1 <= self.M <= semigroup.MAX_HEAT_POWER:
             raise ConfigError(f"params.M must lie in [1, {semigroup.MAX_HEAT_POWER}]")
         if not self.p >= 1:
@@ -165,17 +167,32 @@ class ExperimentConfig:
             path = spec.get("path")
             if not path:
                 raise ConfigError("coefficients.path required for kind 'file'")
-            try:
-                mats = np.load(path)
-                # the declared bounds are placeholders until they are measured
-                lam, Lam = check_ellipticity(CoefficientField(self.grid, mats, 1.0, 1.0))
-            except (OSError, EOFError, TypeError, ValueError) as exc:
-                raise ConfigError(f"coefficients file {path}: {exc}") from exc
+            mats = self._coefficient_file(path)
+            # the declared bounds are placeholders until they are measured
+            lam, Lam = check_ellipticity(CoefficientField(self.grid, mats, 1.0, 1.0))
             return CoefficientField(self.grid, mats, lam, Lam)
         raise ConfigError(f"unknown coefficient kind {kind!r}")
 
+    def _coefficient_file(self, path: str) -> np.ndarray:
+        """The numeric (N, d, d) .npy array at path, or a ConfigError."""
+        want = (self.grid.n_nodes, self.grid.dim, self.grid.dim)
+        try:
+            with open(path, "rb") as fh:
+                mats = np.lib.format.read_array(fh)  # no pickles
+        except OSError as exc:
+            raise ConfigError(f"coefficients file {path}: {exc.strerror or exc}") from exc
+        except ValueError:
+            mats = None
+        if mats is None or mats.shape != want or mats.dtype.kind not in "biufc":
+            raise ConfigError(
+                f"coefficients file {path}: expected a numeric .npy array of shape "
+                f"{want}, as assemble writes to coefficients.npy"
+            )
+        return mats
+
     def operator(self) -> DiscreteOperator:
-        return assemble_operator(self.grid, self.coefficients())
+        self.op = assemble_operator(self.grid, self.coefficients())
+        return self.op
 
     def times(self) -> TimeGrid:
         s = self.times_spec
@@ -223,11 +240,13 @@ def _finite(label: str, *values: float) -> None:
             raise semigroup.ConvergenceError(f"{label}: non-finite value {v}")
 
 
-def _write_metadata(cfg: ExperimentConfig, command: str) -> None:
-    # the only file carrying wall-clock state; everything else is bit-stable
+def _write_metadata(cfg: ExperimentConfig, command: str, started: float) -> None:
+    # the only file carrying wall-clock and cache state; everything else is
+    # bit-stable
+    calc = None if cfg.op is None else semigroup.calculus_summary(cfg.op)
     serialize.write_json(
         cfg.out / "run_metadata.json",
-        {"command": command, "unix_time": time.time()},
+        {"command": command, "unix_time": started, "calculus": calc},
     )
 
 
@@ -631,8 +650,11 @@ def main(argv: list | None = None) -> int:
     try:
         cfg = load_config(args)
         cfg.out.mkdir(parents=True, exist_ok=True)
-        _write_metadata(cfg, args.command)
-        COMMANDS[args.command](cfg)
+        started = time.time()
+        try:
+            COMMANDS[args.command](cfg)
+        finally:
+            _write_metadata(cfg, args.command, started)
     except (
         ConfigError,
         GridError,

@@ -9,6 +9,18 @@ sparse exponential actions and direct sparse solves (`KrylovCalculus`).
 Both backends share the sparse LU routes for resolvents and negative
 powers.
 
+A verified eigenbasis is also kept on disk, under
+$XDG_CACHE_HOME/hardy-lab (~/.cache/hardy-lab when that is unset), so
+later processes on the same L load it instead of calling `eig` again.  An
+entry is keyed on the sha256 of the CSR arrays, the shape and kernel_dim
+of L, the numpy and scipy versions, the BLAS thread setting and the bytes
+of this file, so it holds what a fresh build here would produce.  A loaded
+basis passes the same reconstruction check as a built one; an entry that
+is missing, unreadable or fails the check is rebuilt and replaced, and an
+unwritable directory only means nothing is kept.  The directory is held
+under CACHE_MAX_BYTES by deleting the least recently used entries.
+`eigenvalues` neither reads nor writes it.
+
 Functions of sqrt(L) are evaluated on the eigenbasis only.  L^{1/2} and
 L^{-1/2} are the principal z^{1/2} and z^{-1/2} on the eigenvalues, the
 latter 0 on the kernel.  The Poisson semigroup still goes through the
@@ -26,10 +38,15 @@ refuses Poisson, L^{1/2} and L^{-1/2} alike.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import hashlib
 import math
+import os
+import platform
 import weakref
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -51,6 +68,9 @@ AUTO_DENSE_MAX = 1024
 MAX_HEAT_POWER = 8
 MAX_NEG_POWER = 8
 DEFAULT_QUAD_NODES = 128
+# the eigenbasis cache directory is held under this size; an entry at
+# AUTO_DENSE_MAX nodes takes 32 MiB
+CACHE_MAX_BYTES = 512 * 2**20
 
 
 class ConvergenceError(RuntimeError):
@@ -219,9 +239,15 @@ class KrylovCalculus:
 class DenseCalculus(KrylovCalculus):
     """Functional calculus from one eigendecomposition L = V diag(w) V^{-1}.
 
-    Construction raises ConvergenceError unless the eigenbasis reconstructs
-    e^{-t0 L} to 1e-10 in the Frobenius norm, against a Taylor series of
-    the sparse L (`_reconstruction_error`).  V, V^{-1} and w are the only
+    The eigenbasis comes from the on-disk cache when an entry for L exists
+    and passes the check, and from `scipy.linalg.eig` otherwise, in which
+    case it is stored after passing (see the module docstring).  Either
+    way construction raises ConvergenceError unless the eigenbasis
+    reconstructs e^{-t0 L} to 1e-10 in the Frobenius norm, against a
+    Taylor series of the sparse L (`_reconstruction_error`), so every
+    instance has passed the check in its own process.  `source` says
+    where the basis came from ("built" or "cache"), next to
+    `reconstruction_error` and `cache_key`.  V, V^{-1} and w are the only
     N x N state.  Functions of L are evaluated on the eigenvalues;
     resolvents and negative powers keep the sparse LU routes.
     """
@@ -232,15 +258,23 @@ class DenseCalculus(KrylovCalculus):
 
     def __init__(self, op: DiscreteOperator):
         super().__init__(op)
-        a = op.matrix.toarray()
-        w, v = scipy.linalg.eig(a)
-        del a
-        vinv = scipy.linalg.inv(v)
-        err = _reconstruction_error(op.matrix, w, v, vinv)
+        self.cache_key = _cache_key(op)
+        root = _cache_dir()
+        path = None if root is None else root / f"{self.cache_key}.eig"
+        basis = _load_eigenbasis(path, op.n)
+        err = math.inf if basis is None else _reconstruction_error(op.matrix, *basis)
+        self.source = "cache"
         if not err < 1e-10:
-            raise ConvergenceError(f"eigenbasis reconstruction error {err:.2e} exceeds 1e-10")
-        w, self.kernel_mask = _pin_kernel(w, op.kernel_dim)
-        self.w, self.v, self.vinv = w, v, vinv
+            basis = None  # release a failed entry before eig allocates
+            basis = _build_eigenbasis(op.matrix)
+            err = _reconstruction_error(op.matrix, *basis)
+            if not err < 1e-10:
+                raise ConvergenceError(f"eigenbasis reconstruction error {err:.2e} exceeds 1e-10")
+            self.source = "built"
+            _store_eigenbasis(path, basis)
+        self.reconstruction_error = err
+        w, self.v, self.vinv = basis
+        self.w, self.kernel_mask = _pin_kernel(w, op.kernel_dim)
 
     def _apply_vals(self, vals: np.ndarray, f: np.ndarray) -> np.ndarray:
         """V (vals * V^{-1} f): vals of shape (N,) with a vector or a block
@@ -292,6 +326,117 @@ class DenseCalculus(KrylovCalculus):
         adj.w, adj.v, adj.vinv = self.w.conj(), self.vinv.T, self.v.T
         adj._conj = not self._conj
         return adj
+
+
+def _build_eigenbasis(matrix: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, V, V^{-1}) of the sparse L by dense `eig` and `inv`, unchecked."""
+    a = matrix.toarray()
+    w, v = scipy.linalg.eig(a)
+    del a
+    return w, v, scipy.linalg.inv(v)
+
+
+# ---------------------------------------------------------------------------
+# the on-disk eigenbasis cache
+# ---------------------------------------------------------------------------
+
+# environment variables that set how many threads the BLAS under `eig`
+# uses: its roundoff, and so the basis, depends on that number
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _cache_dir() -> Path | None:
+    """$XDG_CACHE_HOME/hardy-lab, or ~/.cache/hardy-lab when that variable
+    is unset or not absolute; None if no absolute directory results."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base) / "hardy-lab" if os.path.isabs(base) else None
+
+
+def _cache_key(op: DiscreteOperator) -> str:
+    """sha256 of everything a fresh eigenbasis of op depends on here."""
+    m = op.matrix
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    h = hashlib.sha256()
+    for part in (m.data, m.indices, m.indptr):
+        h.update(part.dtype.str.encode())
+        h.update(np.ascontiguousarray(part))
+    setting = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    h.update(
+        repr(
+            (m.shape, m.nnz, op.kernel_dim, np.__version__, scipy.__version__,
+             platform.machine(), cpus, sorted(setting.items()))
+        ).encode()
+    )
+    h.update(Path(__file__).read_bytes())
+    return h.hexdigest()
+
+
+def _load_eigenbasis(path: Path | None, n: int) -> tuple | None:
+    """The unchecked (w, V, V^{-1}) stored at path, or None if the entry is
+    missing, unreadable, truncated, or has the wrong shapes or dtypes."""
+    if path is None:
+        return None
+    try:
+        with open(path, "rb") as fh:
+            w, v, vinv = (np.lib.format.read_array(fh) for _ in range(3))
+    except (OSError, ValueError):
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(path)  # recently used: evicted last
+    # assembled operators are complex, and so is every array eig returns
+    if (w.shape, v.shape, vinv.shape) != ((n,), (n, n), (n, n)) or any(
+        a.dtype != np.complex128 for a in (w, v, vinv)
+    ):
+        return None
+    return w, v, vinv
+
+
+def _store_eigenbasis(path: Path | None, basis: tuple) -> None:
+    """Writes w, V and V^{-1} to path as three .npy arrays in sequence.
+
+    The arrays go to a temporary file that replaces the entry only when
+    complete, so readers see the old entry or the new one.  Any OSError
+    leaves the cache as it was, apart from a lost temporary file.
+    """
+    if path is None:
+        return
+    import tempfile  # only a miss writes; start-up of every command skips it
+
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for arr in basis:
+                np.save(fh, arr)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        return
+    _evict(path.parent)
+
+
+def _evict(root: Path) -> None:
+    """Deletes files of root, least recently modified first, until the rest
+    fit in CACHE_MAX_BYTES."""
+    files = []
+    with contextlib.suppress(OSError), os.scandir(root) as it:
+        for entry in it:
+            with contextlib.suppress(OSError):
+                if entry.is_file(follow_symlinks=False):
+                    st = entry.stat(follow_symlinks=False)
+                    files.append((st.st_mtime_ns, st.st_size, entry.path))
+    kept = 0
+    for _, size, name in sorted(files, reverse=True):
+        kept += size
+        if kept > CACHE_MAX_BYTES:
+            with contextlib.suppress(OSError):
+                os.unlink(name)
 
 
 # columns per block of the reconstruction check: its working arrays are
@@ -368,6 +513,22 @@ def calculus(op: DiscreteOperator) -> KrylovCalculus:
         calc = _choose_calculus(op)
         _CALCULI[op] = calc
     return calc
+
+
+def calculus_summary(op: DiscreteOperator) -> dict | None:
+    """The backend serving op and, for the eigenbasis, its source, check
+    error and cache key; None if no calculus was built for op."""
+    calc = _CALCULI.get(op)
+    if calc is None:
+        return None
+    if not isinstance(calc, DenseCalculus):
+        return {"backend": "krylov"}
+    return {
+        "backend": "dense",
+        "eigenbasis": calc.source,
+        "reconstruction_error": calc.reconstruction_error,
+        "cache_key": calc.cache_key,
+    }
 
 
 def _choose_calculus(op: DiscreteOperator) -> KrylovCalculus:

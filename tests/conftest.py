@@ -1,4 +1,5 @@
-"""Shared fixtures: the reference grids, operators and fields."""
+"""Shared fixtures: the reference grids, operators and fields, and an
+isolated eigenbasis cache."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,14 @@ from hardy_lab import (
     lp_norm,
     random_elliptic_coefficients,
 )
+
+
+@pytest.fixture(autouse=True)
+def eigenbasis_cache(tmp_path, monkeypatch):
+    """A fresh, empty eigenbasis cache root for every test, never $HOME."""
+    root = tmp_path / "xdg-cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(root))
+    return root / "hardy-lab"
 
 
 @pytest.fixture(scope="session")

@@ -97,6 +97,7 @@ def assert_one_line_config_error(capsys, code):
     err = capsys.readouterr().err
     assert code == cli.EXIT_CONFIG
     assert err.startswith("config error: ") and err.count("\n") == 1
+    return err
 
 
 def write_coefficients(tmp_path, matrices):
@@ -144,7 +145,9 @@ def test_bad_coefficient_files_are_config_errors(tmp_path, capsys, name, write):
     path = tmp_path / name
     write(path)
     cfg = write_config(tmp_path, coefficients={"kind": "file", "path": str(path)})
-    assert_one_line_config_error(capsys, cli.main(["assemble", "--config", str(cfg)]))
+    err = assert_one_line_config_error(capsys, cli.main(["assemble", "--config", str(cfg)]))
+    # the project's own message, naming the expected file, not numpy's text
+    assert ".npy array of shape (64, 1, 1)" in err and "allow_pickle" not in err
 
 
 def test_assemble_builds_the_coefficient_field_once(tmp_path, monkeypatch):
@@ -322,6 +325,39 @@ def test_metadata_quarantined(tmp_path):
     assert "unix_time" in meta
     for path in reports.glob("*.csv"):
         assert "unix_time" not in path.read_text()
+
+
+def test_metadata_records_the_calculus(tmp_path, eigenbasis_cache):
+    cfg = write_config(tmp_path)
+    metas = []
+    for run in ("cold", "warm"):
+        out = tmp_path / run
+        assert cli.main(["bmo", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        metas.append(json.loads((out / "run_metadata.json").read_text())["calculus"])
+    cold, warm = metas
+    assert (cold["backend"], cold["eigenbasis"]) == ("dense", "built")
+    assert (warm["backend"], warm["eigenbasis"]) == ("dense", "cache")
+    assert cold["cache_key"] == warm["cache_key"]
+    assert (eigenbasis_cache / f"{cold['cache_key']}.eig").is_file()
+    assert 0 <= warm["reconstruction_error"] < 1e-10
+    # the cache changes no report body
+    names = sorted(p.name for p in (tmp_path / "cold").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "warm").iterdir())
+    for name in names:
+        if name != "run_metadata.json":
+            assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, dense_max, expected",
+    [("validate", 0, {"backend": "krylov"}), ("assemble", 1024, None)],
+    ids=["krylov", "no-calculus"],
+)
+def test_metadata_without_an_eigenbasis(tmp_path, monkeypatch, command, dense_max, expected):
+    monkeypatch.setattr(semigroup, "AUTO_DENSE_MAX", dense_max)
+    assert cli.main([command, "--config", str(write_config(tmp_path))]) == cli.EXIT_OK
+    meta = json.loads((tmp_path / "reports" / "run_metadata.json").read_text())
+    assert meta["calculus"] == expected
 
 
 @settings(max_examples=30, deadline=None)

@@ -174,7 +174,12 @@ def test_blocked_reconstruction_error_matches_dense_expm(grid):
 def test_dense_calculus_keeps_only_its_eigenbasis(grid2d):
     op = assemble_operator(grid2d, random_elliptic_coefficients(grid2d, 0.5, 2.0, seed=1))
     unit = 16 * op.n**2  # bytes of one complex N x N array
-    semigroup.DenseCalculus(op)  # warm caches and imports outside the trace
+    block = 16 * op.n * semigroup._CHECK_BLOCK  # one column block of the check
+    # warm caches and imports outside the trace on another operator of the
+    # same size, so that the traced build of op misses the eigenbasis cache
+    other = assemble_operator(grid2d, random_elliptic_coefficients(grid2d, 0.5, 2.0, seed=2))
+    semigroup.DenseCalculus(other)
+    semigroup.DenseCalculus(other)
     tracemalloc.start()
     try:
         calc = semigroup.DenseCalculus(op)
@@ -182,11 +187,18 @@ def test_dense_calculus_keeps_only_its_eigenbasis(grid2d):
         tracemalloc.reset_peak()
         adj = calc.adjoint()
         _, adj_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = semigroup.DenseCalculus(op)
+        load_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    assert (calc.source, loaded.source) == ("built", "cache")
     # V, V^{-1}, and eig's input copy and workspace; the dense check held ~10.5
     assert peak <= 6 * unit
     assert built <= 2.1 * unit
+    # a load holds V, V^{-1} and the check's column blocks (~5.2), no N x N scratch
+    assert load_peak <= 2.1 * unit + 6 * block
     # transposed views of V and V^{-1}: no conjugated copies
     assert adj_peak - built <= 0.1 * unit
     assert np.shares_memory(adj.v, calc.vinv) and np.shares_memory(adj.vinv, calc.v)
@@ -314,7 +326,7 @@ def test_subordination_rule_matches_scalar_exponential():
 
 @pytest.mark.parametrize("method", sorted(SQRT_FUNCTIONS))
 def test_krylov_poisson_raises_at_once(op1d_random, field1d, method):
-    # the rules' heat times (~1e16 t^2 for Poisson, 50 / lambda_min for
-    # L^{-1/2}) are out of Krylov reach
+    # the Poisson rule's heat times (~1e16 t^2) are out of Krylov reach, and
+    # a Krylov route has no z^{+-1/2} for L^{1/2} and L^{-1/2}
     with pytest.raises(ConvergenceError, match="eigenbasis"):
         SQRT_FUNCTIONS[method](semigroup.KrylovCalculus(op1d_random), field1d.values)
