@@ -70,10 +70,19 @@ def reproduction_times(
     spectrum of L.  t_min is h/16, lowered to 1/(4 sqrt(rho)) on stiff
     operators, where rho, the largest absolute row sum of L, bounds every
     |lambda| (Gershgorin) without an eigendecomposition.
+
+    `count` nodes serve a spectrum within pi/4 of the positive axis.  In
+    log t the integrand (t^2 lambda)^K e^{-K t^2 lambda} is analytic and
+    bounded on a strip of half-width (pi/2 - |arg lambda|)/2, and the
+    trapezoid error decays like exp(-2 pi width / step).  So on a wider
+    sector (`op.sector`, which bounds |arg lambda|) the step shrinks in
+    proportion to the strip, keeping the exponent it has at pi/4.
     """
     rho = float(abs(op.matrix).sum(axis=1).max())
     if t_max is None:
         t_max = semigroup.default_time_grid(op.grid).t_max
+    if op.sector > math.pi / 4:
+        count = 1 + math.ceil((count - 1) * (math.pi / 4) / (math.pi / 2 - op.sector))
     return TimeGrid(min(op.grid.spacing / 16.0, 0.25 / math.sqrt(rho)), t_max, count)
 
 

@@ -52,14 +52,45 @@ def gradient_matrices(grid: Grid) -> tuple[sp.csr_matrix, ...]:
     return tuple(mats)
 
 
+def _sector(a: np.ndarray) -> float:
+    """The largest over cells of the half-angle of the numerical range of
+    the d x d matrix A(x), d = 1 or 2, about the positive axis.
+
+    With A = H + iS, H and S Hermitian and H positive definite, its tangent
+    is max |xi^H S xi| / xi^H H xi: the largest |mu| with det(S - mu H) = 0.
+    For d = 2 that is the quadratic det(H) mu^2 - b mu + det(S), whose
+    roots are real; cell by cell, so no (N, d, d) temporary is made.
+    """
+    if a.shape[1] == 1:
+        tan = np.abs(a[:, 0, 0].imag) / a[:, 0, 0].real
+    else:
+        h11, h22 = a[:, 0, 0].real, a[:, 1, 1].real
+        s11, s22 = a[:, 0, 0].imag, a[:, 1, 1].imag
+        h12 = 0.5 * (a[:, 0, 1] + a[:, 1, 0].conj())
+        s12 = -0.5j * (a[:, 0, 1] - a[:, 1, 0].conj())
+        det_h = h11 * h22 - np.abs(h12) ** 2
+        det_s = s11 * s22 - np.abs(s12) ** 2
+        b = h11 * s22 + h22 * s11 - 2.0 * (h12 * s12.conj()).real
+        tan = (np.abs(b) + np.sqrt(np.maximum(b * b - 4.0 * det_h * det_s, 0.0))) / (2.0 * det_h)
+    return float(np.arctan(tan.max()))
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Sparse L and the gradient it was built from."""
+    """Sparse L and the gradient it was built from.
+
+    `sector` is the half-angle of a sector |arg z| <= sector that holds the
+    numerical range of L, and so its spectrum: <Lu, u> sums xi^H A(x) xi
+    over the cells, xi the gradient of u there, so it is the largest
+    half-angle of the numerical ranges of the cellwise A(x).  It is at most
+    arccos(lambda / Lambda).
+    """
 
     matrix: sp.csr_matrix
     grid: Grid
     kernel_dim: int
     grads: tuple[sp.csr_matrix, ...]
+    sector: float
 
     @property
     def n(self) -> int:
@@ -86,4 +117,4 @@ def assemble_operator(grid: Grid, coeff: CoefficientField) -> DiscreteOperator:
     mat = sp.csr_matrix(mat)
     mat.sort_indices()
     kernel_dim = 1 if grid.boundary == PERIODIC else 0
-    return DiscreteOperator(mat, grid, kernel_dim, grads)
+    return DiscreteOperator(mat, grid, kernel_dim, grads, _sector(coeff.matrices))

@@ -26,7 +26,6 @@ from .grid import (
 )
 from .operator import DiscreteOperator
 from . import semigroup
-from .decomposition import dist_to_complement
 from .functionals import ConeSpec, SpaceTimeField, cone_integrate
 from .semigroup import TimeGrid
 
@@ -118,6 +117,39 @@ def bmo_norm(
 # ---------------------------------------------------------------------------
 
 
+def _cube_depth(cube: Cube) -> np.ndarray:
+    """Per-node distance from the cube's nodes to the nodes outside it, as
+    `decomposition.dist_to_complement` of `cube.node_set(0)` gives it, read
+    off the cube's faces.
+
+    The nearest node outside a box lies straight across one face, so the
+    Euclidean distance is the least over the axes of min(o + 1, m - o),
+    o the node's offset in the cube's m nodes along the axis.  Offsets wrap
+    on periodic axes, where a cube that spans the axis has no face; on
+    Dirichlet grids a face on the array edge has no node behind it.  0
+    outside the cube, inf everywhere when it covers the grid.
+    """
+    grid = cube.grid
+    m = cube.nnodes
+    periodic = grid.boundary == PERIODIC
+    depth = np.full(grid.sizes, np.inf)
+    for a, size in enumerate(grid.sizes):
+        start = cube.anchor[a]
+        if periodic and m >= size:
+            continue
+        off = np.arange(size) - start
+        if periodic:
+            off %= size
+        axis = np.full(size, np.inf)
+        if periodic or start > 0:
+            axis = np.minimum(axis, off + 1)
+        if periodic or start + m < size:
+            axis = np.minimum(axis, m - off)
+        axis[(off < 0) | (off >= m)] = 0.0
+        depth = np.minimum(depth, axis.reshape([size if b == a else 1 for b in range(grid.dim)]))
+    return depth.ravel() * grid.spacing
+
+
 def _tent_mean_sup(density: np.ndarray, grid: Grid, times: TimeGrid) -> float:
     """sup over the ball family of mass / |ball|, where mass integrates a
     space-time density over the tent above the ball.
@@ -129,7 +161,7 @@ def _tent_mean_sup(density: np.ndarray, grid: Grid, times: TimeGrid) -> float:
     wlog = times.log_weights
     best = 0.0
     for cube in dyadic_cubes(grid):
-        mask = dist_to_complement(grid, cube.node_set(0))[:, None] >= ts[None, :]
+        mask = _cube_depth(cube)[:, None] >= ts[None, :]
         mass = float(((mask * density).sum(axis=0) * wlog).sum() * grid.cell_volume)
         best = max(best, mass / cube.volume)
     return best

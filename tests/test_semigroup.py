@@ -138,11 +138,12 @@ def test_failed_eigenbasis_check_selects_krylov(monkeypatch, grid1d, field1d):
     assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
-def dense_reconstruction_error(op):
+def dense_reconstruction_error(op, scale=1.0):
     """The eigenbasis check written with N x N arrays: the dense expm of L
-    against the full reconstructed matrix."""
+    against the full reconstructed matrix, for eigenvalues scale * w."""
     a = op.matrix.toarray()
     w, v = scipy.linalg.eig(a)
+    w = scale * w
     t0 = 1.0 / (np.abs(w).max() + 1.0)
     ref = scipy.linalg.expm(-t0 * a)
     rec = (v * np.exp(-t0 * w)) @ scipy.linalg.inv(v)
@@ -169,6 +170,23 @@ def test_blocked_reconstruction_error_matches_dense_expm(grid):
     # error itself is a few ulp (1.7e-15 on the 1D grid) the two references'
     # own roundoff moves it by ~1e-17
     assert abs(blocked - dense) <= 1e-3 * dense + 1e-16
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid(1, (64,), 1.0 / 64), Grid(2, (12, 12), 1.0 / 13, DIRICHLET), Grid(2, (10, 10), 1.0 / 10)],
+    ids=["1d-64", "2d-12x12-dirichlet", "2d-10x10"],
+)
+def test_multi_step_reconstruction_error_matches_dense_expm(grid):
+    # w / 4 makes t0 four times larger: ||t0 L||_1 ~ 5 needs three Taylor
+    # steps, and the check must report the O(1) error of e^{-t0 L / 4}
+    op = assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, seed=1))
+    dense, w, v = dense_reconstruction_error(op, scale=0.25)
+    t0 = 1.0 / (np.abs(w).max() + 1.0)
+    assert t0 * abs(op.matrix).sum(axis=0).max() > 4.0
+    blocked = semigroup._reconstruction_error(op.matrix, w, v, scipy.linalg.inv(v))
+    assert dense > 0.1
+    assert abs(blocked - dense) <= 1e-10 * dense
 
 
 def test_dense_calculus_keeps_only_its_eigenbasis(grid2d):

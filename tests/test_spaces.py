@@ -20,7 +20,10 @@ from hardy_lab import (
     tent_norms,
 )
 from hardy_lab import semigroup
+from hardy_lab.decomposition import dist_to_complement
 from hardy_lab.functionals import SpaceTimeField
+from hardy_lab.grid import DIRICHLET, PERIODIC, Cube
+from hardy_lab.spaces import _cube_depth
 from hardy_lab.semigroup import KernelComponentError
 from conftest import mean_zero_field
 
@@ -35,6 +38,22 @@ def test_dyadic_cube_family_1d(grid1d):
 def test_dyadic_cube_family_2d(grid2d):
     cubes = dyadic_cubes(grid2d)
     assert len(cubes) == 64 + 16 + 4 + 1
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("sizes", [(8,), (12,), (64,), (8, 8), (12, 10), (16, 16), (20, 12)])
+def test_cube_depth_matches_distance_transform(sizes, boundary):
+    grid = Grid(len(sizes), sizes, 1.0 / max(sizes), boundary)
+    rng = np.random.default_rng(len(sizes) * 100 + sum(sizes))
+    # the tent family, random cubes that wrap, clip or span an axis, the whole grid
+    cubes = dyadic_cubes(grid) + [
+        Cube(grid, tuple(int(rng.integers(-3, s + 3)) for s in sizes), int(rng.integers(1, max(sizes) + 4)))
+        for _ in range(60)
+    ]
+    cubes.append(Cube(grid, (0,) * grid.dim, max(sizes)))
+    for cube in cubes:
+        assert np.array_equal(_cube_depth(cube), dist_to_complement(grid, cube.node_set(0)))
+    assert np.all(_cube_depth(cubes[-1]) == np.inf)
 
 
 def test_bmo_of_constant_vanishes(op1d_random, grid1d):
