@@ -8,8 +8,9 @@ spatial grid times a logarithmic time grid.  Cone integrals discretize
 
 with cell-volume weights in y and trapezoid weights in log t; vertical
 square functions drop the cone and integrate dt/t pointwise; maximal
-functions take suprema of lattice-ball averages.  All evaluations are
-direct vectorized sums (desk scale), deterministic for fixed inputs.
+functions take suprema of lattice-ball averages.  Ball sums are FFT
+convolutions with ``grid.offset_lengths`` and open-ball suprema are box maximum
+filters, so no N x N array is formed; all are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridError, ScalarField, lp_norm
+from .grid import PERIODIC, Grid, GridError, ScalarField, lp_norm, offset_lengths
 from .operator import DiscreteOperator
 from . import semigroup
 from .semigroup import TimeGrid
@@ -53,19 +54,13 @@ class SpaceTimeField:
 
 
 def cone_integrate(F: SpaceTimeField, cone: ConeSpec) -> ScalarField:
-    """Discrete cone integral of |F|^2 against dy dt/t^{n+1}, square-rooted."""
+    """Discrete cone integral of |F|^2 against dy dt/t^{n+1}, square-rooted;
+    the open cone |x - y| < alpha t is the closed ball at the float below."""
     grid = F.grid
-    n = grid.dim
-    dist = grid.distance_matrix()
     ts = F.times.samples
-    wlog = F.times.log_weights
-    absF2 = np.abs(F.values) ** 2
-    out = np.zeros(grid.n_nodes)
-    for j, t in enumerate(ts):
-        mask = dist < cone.aperture * t
-        contrib = mask @ absF2[:, j]
-        out += (wlog[j] * grid.cell_volume / t**n) * contrib
-    return ScalarField(np.sqrt(out), grid)
+    (sums,) = _ball_sums(grid, np.nextafter(cone.aperture * ts, 0), np.abs(F.values) ** 2)
+    weights = F.times.log_weights * grid.cell_volume / ts**grid.dim
+    return ScalarField(np.sqrt(np.maximum(sums @ weights, 0.0)), grid)
 
 
 def _build_profile(
@@ -115,15 +110,22 @@ def vertical_square_function(
     return ScalarField(out, op.grid)
 
 
-def _ball_averages(grid: Grid, g2_col: np.ndarray, radius: float) -> np.ndarray:
-    """Mean of g2 over the lattice ball of the given radius around each node.
+def _ball_sums(grid: Grid, radii: np.ndarray, *columns: np.ndarray) -> list:
+    """Sums of each (N, C) array's column j over the closed balls |x - y| <= radii[j],
+    shape (N, len(radii)), a single column serving every radius: FFT convolutions
+    with the offset-length table that share one transform of the ball indicators."""
+    lengths = offset_lengths(grid)
+    axes = tuple(range(grid.dim))
+    kernel = np.fft.rfftn(lengths[..., None] <= radii, axes=axes)
+    fields = (np.fft.rfftn(c.reshape(grid.sizes + (-1,)), lengths.shape, axes) for c in columns)
+    sums = (np.fft.irfftn(kernel * field, lengths.shape, axes) for field in fields)
+    return [s[tuple(map(slice, grid.sizes))].reshape(grid.n_nodes, -1) for s in sums]
 
-    Balls are inclusive (dist <= r) and always contain the center node, so
-    the sub-grid-scale average degenerates to the single nearest node.
-    """
-    mask = grid.distance_matrix() <= radius
-    counts = mask.sum(axis=1)
-    return (mask @ g2_col) / counts
+
+def _ball_means(grid: Grid, values: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Means over the closed balls of ``_ball_sums``; each holds its center."""
+    sums, counts = _ball_sums(grid, radii, values, np.ones((grid.n_nodes, 1)))
+    return sums / np.rint(counts)
 
 
 def nontangential_max(
@@ -151,35 +153,36 @@ def nontangential_max(
         prof = semigroup.heat_profile(op, f, times, M)
     else:
         prof = semigroup.poisson_profile(op, f, times)
+    from scipy import ndimage
+
     grid = op.grid
-    g2 = np.abs(prof) ** 2
-    dist = grid.distance_matrix()
-    best = np.zeros(grid.n_nodes)
-    for j, t in enumerate(times.samples):
-        r = beta * t
-        avg = _ball_averages(grid, g2[:, j], r)
-        cand = np.where(dist < r, avg[None, :], -np.inf).max(axis=1)
-        best = np.maximum(best, np.where(np.isfinite(cand), cand, 0.0))
-    return ScalarField(np.sqrt(best), grid)
+    means = _ball_means(grid, np.abs(prof) ** 2, beta * times.samples)
+    # The open ball |x - y| < r is the union over row offsets k of boxes of
+    # half-height k and the row's half-width.  Rows go farthest first, so a box
+    # no wider than one taken lies inside it; wrap mode serves boxes wider than a torus.
+    periodic = grid.boundary == PERIODIC
+    half = offset_lengths(grid)[tuple(slice(n // 2 + 1 if periodic else n) for n in grid.sizes)]
+    shape = (1,) * (2 - grid.dim) + grid.sizes
+    mode = "wrap" if periodic else "constant"  # zero outside, as means are >= 0
+    best = np.zeros(shape)
+    for m, r in zip(means.T.reshape((-1,) + shape), beta * times.samples):
+        widest = -1
+        for k, w in reversed(list(enumerate((np.atleast_2d(half) < r).sum(axis=1) - 1))):
+            if w > widest:
+                widest = w
+                best = np.maximum(best, ndimage.maximum_filter(m, (2 * k + 1, 2 * w + 1), mode=mode))
+    return ScalarField(np.sqrt(best.ravel()), grid)
 
 
 def hl_maximal(f: ScalarField) -> ScalarField:
-    """Hardy-Littlewood maximal function over all distinct lattice-ball radii."""
+    """Hardy-Littlewood maximal function: the largest closed-ball mean of |f|
+    over every distinct offset length as radius, 64 radii at a time."""
     grid = f.grid
-    dist = grid.distance_matrix()
-    a = np.abs(f.values)
-    out = np.empty(grid.n_nodes)
-    for x in range(grid.n_nodes):
-        order = np.argsort(dist[x], kind="stable")
-        dsorted = dist[x][order]
-        csum = np.cumsum(a[order])
-        # valid ball cutoffs are where the next distance strictly increases
-        boundary = np.empty(dsorted.size, dtype=bool)
-        boundary[:-1] = dsorted[1:] > dsorted[:-1]
-        boundary[-1] = True
-        k = np.nonzero(boundary)[0]
-        out[x] = (csum[k] / (k + 1)).max()
-    return ScalarField(out, grid)
+    lengths = offset_lengths(grid)
+    radii = np.unique(lengths[np.isfinite(lengths)])
+    a = np.abs(f.values)[:, None]
+    chunks = np.split(radii, range(64, radii.size, 64))
+    return ScalarField(np.max([_ball_means(grid, a, r).max(axis=1) for r in chunks], axis=0), grid)
 
 
 @dataclass(frozen=True)

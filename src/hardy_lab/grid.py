@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,8 +41,10 @@ class Grid:
             raise GridError("len(sizes) must equal dim")
         if any(s < 8 for s in self.sizes):
             raise GridError("every axis needs at least 8 nodes")
-        if not self.spacing > 0:
-            raise GridError("spacing must be positive")
+        with np.errstate(over="ignore"):
+            volume = np.float64(self.spacing) ** self.dim
+        if not (self.spacing > 0 and 0 < volume < math.inf):
+            raise GridError(f"spacing {self.spacing!r} needs a positive finite spacing**dim")
         if self.boundary not in (PERIODIC, DIRICHLET):
             raise GridError(f"unknown boundary {self.boundary!r}")
 
@@ -61,39 +62,36 @@ class Grid:
 
     def indices(self) -> np.ndarray:
         """Integer node coordinates, shape (N, dim), row-major order."""
-        axes = [np.arange(s) for s in self.sizes]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return np.stack(np.unravel_index(np.arange(self.n_nodes), self.sizes), axis=1)
 
     def coords(self) -> np.ndarray:
         """Physical node coordinates, shape (N, dim)."""
         return self.indices() * self.spacing
 
     def distance_matrix(self) -> np.ndarray:
-        """Pairwise physical distances, periodic metric on a torus."""
-        return _distance_matrix(self)
+        """Pairwise physical distances, periodic metric on a torus (oracles only)."""
+        every = np.arange(self.n_nodes)
+        return lattice_distances(self, every, every)
+
+
+def offset_lengths(grid: Grid) -> np.ndarray:
+    """Physical length sqrt(|offset|^2) * spacing of every lattice offset, laid
+    out for a circular convolution: shape ``sizes`` on a torus, ``2*sizes`` on
+    a Dirichlet grid (index k < n is k, 2n - k is -k, n is past the edge: inf)."""
+    d2 = np.zeros(())
+    for n in grid.sizes:
+        k = np.arange(n if grid.boundary == PERIODIC else 2 * n)
+        d2 = np.add.outer(d2, np.where(k == n, np.inf, np.minimum(k, k.size - k) ** 2.0))
+    return np.sqrt(d2) * grid.spacing
 
 
 def lattice_distances(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Physical distances from the nodes a to the nodes b (flat indices),
     shape (len(a), len(b)); periodic metric on a torus."""
+    lengths = offset_lengths(grid)
     ia = np.unravel_index(np.asarray(a, dtype=int), grid.sizes)
     ib = np.unravel_index(np.asarray(b, dtype=int), grid.sizes)
-    d2 = np.zeros((ia[0].size, ib[0].size))
-    for axis in range(grid.dim):
-        diff = np.abs(ia[axis][:, None] - ib[axis][None, :])
-        if grid.boundary == PERIODIC:
-            diff = np.minimum(diff, grid.sizes[axis] - diff)
-        d2 += diff**2
-    return np.sqrt(d2) * grid.spacing
-
-
-@lru_cache(maxsize=16)
-def _distance_matrix(grid: Grid) -> np.ndarray:
-    every = np.arange(grid.n_nodes)
-    out = lattice_distances(grid, every, every)
-    out.flags.writeable = False
-    return out
+    return lengths[tuple((x[:, None] - y) % m for x, y, m in zip(ia, ib, lengths.shape))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,8 +166,8 @@ class CoefficientField:
         if m.shape != (self.grid.n_nodes, d, d):
             raise GridError("matrices must have shape (n_nodes, dim, dim)")
         object.__setattr__(self, "matrices", m)
-        if not (0 < self.lam <= self.Lam < math.inf):
-            raise NonEllipticError("need 0 < lambda <= Lambda < inf")
+        if not (0 < self.lam <= self.Lam < math.inf and np.isfinite(m).all()):
+            raise NonEllipticError("coefficients must be finite, with 0 < lambda <= Lambda < inf")
 
 
 def check_ellipticity(coeff: CoefficientField) -> tuple[float, float]:
@@ -271,10 +269,9 @@ class Cube:
         ]
         if any(ax.size == 0 for ax in per_axis):
             return np.empty(0, dtype=int)
-        if self.grid.dim == 1:
-            flat = per_axis[0]
-        else:
-            flat = (per_axis[0][:, None] * self.grid.sizes[1] + per_axis[1][None, :]).ravel()
+        flat = per_axis[0]
+        for nodes, size in zip(per_axis[1:], self.grid.sizes[1:]):
+            flat = (flat[:, None] * size + nodes[None, :]).ravel()
         return np.unique(flat)
 
     def annuli(self) -> list:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,28 +127,59 @@ def test_assembled_coefficients_feed_back_in(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def save_with(value):
+    """Writes 64 unit 1x1 matrices with one entry replaced by value."""
+
+    def write(path):
+        mats = np.ones((64, 1, 1), dtype=complex)
+        mats[5, 0, 0] = value
+        np.save(path, mats)
+
+    return write
+
+
+EXPECTED_SHAPE = ".npy array of shape (64, 1, 1)"
+
+
 @pytest.mark.parametrize(
-    "name, write",
+    "name, write, message",
     [
-        ("empty.npy", lambda path: path.write_bytes(b"")),
+        ("empty.npy", lambda path: path.write_bytes(b""), EXPECTED_SHAPE),
         (
             "coefficients.json",
             lambda path: path.write_text(
                 json.dumps({"shape": [64, 1, 1], "re": [1.0] * 64, "im": [0.0] * 64})
             ),
+            EXPECTED_SHAPE,
         ),
-        ("short.npy", lambda path: np.save(path, np.ones((32, 1, 1), dtype=complex))),
-        ("bundle.npz", lambda path: np.savez(path, matrices=np.ones((64, 1, 1)))),
+        (
+            "short.npy",
+            lambda path: np.save(path, np.ones((32, 1, 1), dtype=complex)),
+            EXPECTED_SHAPE,
+        ),
+        ("bundle.npz", lambda path: np.savez(path, matrices=np.ones((64, 1, 1))), EXPECTED_SHAPE),
+        ("nan.npy", save_with(np.nan), "coefficients must be finite"),
+        ("inf.npy", save_with(np.inf), "coefficients must be finite"),
     ],
-    ids=["empty", "old-json", "wrong-shape", "npz"],
+    ids=["empty", "old-json", "wrong-shape", "npz", "nan", "inf"],
 )
-def test_bad_coefficient_files_are_config_errors(tmp_path, capsys, name, write):
+def test_bad_coefficient_files_are_config_errors(tmp_path, capsys, name, write, message):
     path = tmp_path / name
     write(path)
     cfg = write_config(tmp_path, coefficients={"kind": "file", "path": str(path)})
-    err = assert_one_line_config_error(capsys, cli.main(["assemble", "--config", str(cfg)]))
-    # the project's own message, naming the expected file, not numpy's text
-    assert ".npy array of shape (64, 1, 1)" in err and "allow_pickle" not in err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's warnings are not the message either
+        code = cli.main(["assemble", "--config", str(cfg)])
+    err = assert_one_line_config_error(capsys, code)
+    # the project's own message, naming what is expected, not numpy's text
+    assert message in err and "allow_pickle" not in err
+
+
+@pytest.mark.parametrize("spacing", [1e-170, 1e200], ids=["underflow", "overflow"])
+def test_spacing_without_a_finite_cell_volume_is_config_error(tmp_path, capsys, spacing):
+    cfg = write_config(tmp_path, grid={"sizes": [16, 16], "spacing": spacing})
+    err = assert_one_line_config_error(capsys, cli.main(["bmo", "--config", str(cfg)]))
+    assert "spacing**dim" in err
 
 
 def test_assemble_builds_the_coefficient_field_once(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Square functions, non-tangential maximal functions, cone integrals."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,71 @@ from hardy_lab import (
     square_function,
     vertical_square_function,
 )
-from hardy_lab import semigroup
+from hardy_lab import Grid, assemble_operator, random_elliptic_coefficients, semigroup
 from hardy_lab.oracle_suite import _brute_hl, _brute_nontangential, _brute_square
 
 TIMES = TimeGrid(1.0 / 256, 2.0, 16)
+
+# small 2D grids with an odd axis, on a torus and with the Dirichlet truncation
+GRIDS_2D = [
+    Grid(2, (9, 12), 1.0 / 12),
+    Grid(2, (9, 12), 1.0 / 12, "dirichlet"),
+    Grid(2, (11, 8), 1.0 / 11),
+    Grid(2, (11, 8), 1.0 / 11, "dirichlet"),
+]
+GRID_IDS = [f"{g.sizes[0]}x{g.sizes[1]}-{g.boundary}" for g in GRIDS_2D]
+
+
+def time_grids(grid):
+    """Samples from below grid scale to beyond the grid, and dense samples
+    from t = h, a lattice distance where < and <= pick different nodes, up
+    to the longest side, so that balls that reach the far row or column of a
+    torus but do not cover it are sampled too."""
+    return [TIMES, TimeGrid(grid.spacing, max(grid.side_lengths), 48)]
+
+
+def random_field(grid, seed):
+    rng = np.random.default_rng(seed)
+    return ScalarField(rng.normal(size=grid.n_nodes) + 1j * rng.normal(size=grid.n_nodes), grid)
+
+
+def nxn_cone(F, alpha):
+    """The cone integral as a masked N x N product per time sample."""
+    grid, dist = F.grid, F.grid.distance_matrix()
+    out = np.zeros(grid.n_nodes)
+    for j, t in enumerate(F.times.samples):
+        contrib = (dist < alpha * t) @ (np.abs(F.values[:, j]) ** 2)
+        out += (F.times.log_weights[j] * grid.cell_volume / t**grid.dim) * contrib
+    return np.sqrt(out)
+
+
+def nxn_nontangential(prof, grid, radii):
+    """The sup over dist < r of closed-ball means, as N x N masked maxima."""
+    dist = grid.distance_matrix()
+    g2 = np.abs(prof) ** 2
+    best = np.zeros(grid.n_nodes)
+    for j, r in enumerate(radii):
+        mask = dist <= r
+        means = (mask @ g2[:, j]) / mask.sum(axis=1)
+        best = np.maximum(best, np.where(dist < r, means[None, :], -np.inf).max(axis=1))
+    return np.sqrt(best)
+
+
+def nxn_hl(f):
+    """Ball means of |f| at every distance from each node, by a sort per node."""
+    dist = f.grid.distance_matrix()
+    a = np.abs(f.values)
+    out = np.empty(f.grid.n_nodes)
+    for x in range(f.grid.n_nodes):
+        order = np.argsort(dist[x], kind="stable")
+        csum = np.cumsum(a[order])
+        last = np.append(np.diff(dist[x][order]) > 0, True)  # a ball ends before a longer distance
+        out[x] = (csum[last] / (np.flatnonzero(last) + 1)).max()
+    return out
+
+
+def assert_close(got, ref):
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_square_function_annihilates_constants(op1d, grid1d):
@@ -52,6 +115,48 @@ def test_hl_matches_brute_force(field1d):
     fast = hl_maximal(field1d)
     slow = _brute_hl(field1d)
     assert np.abs(fast.values - slow).max() < 1e-9
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("grid", GRIDS_2D, ids=GRID_IDS)
+def test_cone_matches_brute_force_2d(grid, alpha):
+    rng = np.random.default_rng(grid.n_nodes)
+    for times in time_grids(grid):
+        F = SpaceTimeField(rng.normal(size=(grid.n_nodes, times.count)), grid, times)
+        assert_close(cone_integrate(F, ConeSpec(alpha)).values, nxn_cone(F, alpha))
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+@pytest.mark.parametrize("grid", GRIDS_2D, ids=GRID_IDS)
+def test_maximal_matches_brute_force_2d(grid, beta):
+    op = assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, seed=1))
+    f = random_field(grid, seed=2)
+    for times in time_grids(grid):
+        got = nontangential_max(f, op, "heat", beta, 0, times).values
+        prof = semigroup.heat_profile(op, f, times, 0)
+        assert_close(got, nxn_nontangential(prof, grid, beta * times.samples))
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+@pytest.mark.parametrize("grid", GRIDS_2D, ids=GRID_IDS)
+def test_maximal_matches_brute_force_2d_at_every_scale(grid, beta, monkeypatch):
+    # A heat image flattens at large t, so its sup is set at small radii.
+    # Profiles that vanish at all but one time test each radius on its own.
+    times = time_grids(grid)[1]
+    rng = np.random.default_rng(grid.n_nodes)
+    op = SimpleNamespace(grid=grid)  # the profile below stands in for its heat image
+    for j in range(times.count):
+        prof = np.zeros((grid.n_nodes, times.count))
+        prof[:, j] = rng.normal(size=grid.n_nodes)
+        monkeypatch.setattr(semigroup, "heat_profile", lambda *args, **kwargs: prof)
+        got = nontangential_max(random_field(grid, seed=2), op, "heat", beta, 0, times).values
+        assert_close(got, nxn_nontangential(prof, grid, beta * times.samples))
+
+
+@pytest.mark.parametrize("grid", GRIDS_2D, ids=GRID_IDS)
+def test_hl_matches_brute_force_2d(grid):
+    f = random_field(grid, seed=5)
+    assert_close(hl_maximal(f).values, nxn_hl(f))
 
 
 def test_hl_dominates_pointwise(field1d):

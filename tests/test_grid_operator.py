@@ -1,5 +1,7 @@
 """Grids, coefficient fields, cubes and the assembled operator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from hardy_lab import (
     random_elliptic_coefficients,
     assemble_operator,
 )
-from hardy_lab.grid import NonEllipticError, lattice_distances
+from hardy_lab.grid import NonEllipticError, lattice_distances, offset_lengths
 from hardy_lab.semigroup import calculus
 
 
@@ -27,6 +29,22 @@ def test_grid_rejects_tiny_axes():
 def test_grid_rejects_mismatched_dim():
     with pytest.raises(GridError):
         Grid(2, (16,), 1.0 / 16)
+
+
+@pytest.mark.parametrize(
+    "dim, spacing",
+    [(2, 1e-170), (2, 1e200), (1, 0.0), (1, -0.5), (2, math.nan), (1, math.inf)],
+    ids=["underflow", "overflow", "zero", "negative", "nan", "inf"],
+)
+def test_grid_rejects_spacing_without_a_finite_cell_volume(dim, spacing):
+    # the cell volume spacing**dim must be a positive finite float
+    with pytest.raises(GridError):
+        Grid(dim, (16,) * dim, spacing)
+
+
+def test_grid_accepts_a_small_but_representable_cell_volume():
+    assert Grid(2, (16, 16), 1e-150).cell_volume == 1e-150**2
+    assert Grid(1, (16,), 1e200).cell_volume == 1e200
 
 
 def test_distance_matrix_periodic_wrap(grid1d):
@@ -59,6 +77,50 @@ def test_lattice_distances_match_distance_matrix(grid):
         a = rng.choice(grid.n_nodes, size_a, replace=False)
         b = rng.choice(grid.n_nodes, size_b, replace=False)
         assert np.array_equal(lattice_distances(grid, a, b), d[np.ix_(a, b)])
+
+
+OFFSET_GRIDS = [
+    Grid(1, (12,), 0.1),
+    Grid(1, (9,), 0.1, "dirichlet"),
+    Grid(2, (9, 12), 1.0 / 12),
+    Grid(2, (9, 12), 1.0 / 12, "dirichlet"),
+    Grid(2, (8, 11), 0.3),
+    Grid(2, (8, 11), 0.3, "dirichlet"),
+]
+OFFSET_IDS = [f"{'x'.join(map(str, g.sizes))}-{g.boundary}" for g in OFFSET_GRIDS]
+
+
+def signed_offset(k, n, periodic):
+    """The offset that index k of an n-node axis holds; None past a Dirichlet edge."""
+    if periodic:
+        return min(k, n - k)
+    return None if k == n else (k if k < n else k - 2 * n)
+
+
+@pytest.mark.parametrize("grid", OFFSET_GRIDS, ids=OFFSET_IDS)
+def test_offset_lengths_match_explicit_offsets(grid):
+    periodic = grid.boundary == "periodic"
+    lengths = offset_lengths(grid)
+    assert lengths.shape == tuple(n if periodic else 2 * n for n in grid.sizes)
+    for index in np.ndindex(lengths.shape):
+        offset = [signed_offset(k, n, periodic) for k, n in zip(index, grid.sizes)]
+        if None in offset:
+            assert lengths[index] == math.inf
+        else:
+            assert lengths[index] == math.sqrt(sum(o * o for o in offset)) * grid.spacing
+
+
+@pytest.mark.parametrize("grid", OFFSET_GRIDS, ids=OFFSET_IDS)
+def test_lattice_distances_match_node_coordinates(grid):
+    # per axis |i - j|, wrapped on a torus, then the float root of the squared sum
+    idx = [np.arange(n) for n in grid.sizes]
+    idx = [m.ravel() for m in np.meshgrid(*idx, indexing="ij")]
+    d2 = np.zeros((grid.n_nodes, grid.n_nodes))
+    for i, n in zip(idx, grid.sizes):
+        diff = np.abs(i[:, None] - i[None, :])
+        d2 += (np.minimum(diff, n - diff) if grid.boundary == "periodic" else diff) ** 2
+    every = np.arange(grid.n_nodes)
+    assert np.array_equal(lattice_distances(grid, every, every), np.sqrt(d2) * grid.spacing)
 
 
 def test_random_coefficients_are_elliptic(grid1d):
