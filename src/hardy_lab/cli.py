@@ -23,11 +23,13 @@ import numpy as np
 
 from .grid import (
     CoefficientField,
+    Cube,
     Grid,
     GridError,
     NonEllipticError,
     ScalarField,
     check_ellipticity,
+    full_grid_cube,
     identity_coefficients,
     lp_norm,
     random_elliptic_coefficients,
@@ -72,7 +74,7 @@ class AssertionFailure(RuntimeError):
 def _number(label: str, value, kind=float):
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{label}: not a number: {value!r}") from exc
 
 
@@ -122,6 +124,8 @@ class ExperimentConfig:
             if key not in self.tolerances:
                 raise ConfigError(f"unknown tolerance {key!r}")
             self.tolerances[key] = _number(f"tolerances.{key}", val)
+            if math.isnan(self.tolerances[key]):
+                raise ConfigError(f"tolerances.{key}: NaN passes no comparison, so it checks nothing")
         self.filter = overrides.filter
         # the operator built by `operator()`, kept for run_metadata.json
         self.op: DiscreteOperator | None = None
@@ -131,6 +135,12 @@ class ExperimentConfig:
             raise ConfigError("params.p must be >= 1")
         if not self.eps > 0:
             raise ConfigError("params.eps must be > 0")
+        # the decay tables divide by decay bounds, none below the bound of a
+        # corner node's outermost annulus (the most a cube has) at the grid's volume
+        outermost = len(Cube(self.grid, (0,) * self.grid.dim, 1).annuli()) - 1
+        least = decomposition.molecule_bound(outermost, self.grid, self.p, self.eps, full_grid_cube(self.grid))
+        if least < np.finfo(float).tiny:
+            raise ConfigError(f"params.eps = {self.eps}: the molecule decay bound underflows on this grid")
         if self.corpus_count < 1:
             raise ConfigError("empty corpus")
         if self.corpus_kind not in corpus_mod.CORPUS_KINDS:
@@ -203,7 +213,7 @@ class ExperimentConfig:
                 float(s.get("t_max", base.t_max)),
                 int(s.get("count", base.count)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"times: {exc}") from exc
 
     def decomposition_times(self, op: DiscreteOperator) -> TimeGrid:

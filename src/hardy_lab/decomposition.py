@@ -3,7 +3,8 @@
 The decomposition follows the level-set construction: level sets of the
 cone square function of f, density-expanded through the Hardy-Littlewood
 maximal operator, Whitney-decomposed into dyadic cubes, and intersected
-with tent regions to cut the reproducing-formula integral
+with tents, whose truncations partition space-time and are held as one
+(node, time) label array, to cut the reproducing-formula integral
 
     f = C_M int_0^inf (t^2 L e^{-t^2 L})^{M+2} f dt/t
 
@@ -178,21 +179,6 @@ def whitney_decompose(open_set: np.ndarray, grid: Grid) -> list:
     return cubes
 
 
-def truncated_tent_mask(
-    cube: Cube, dist_lower: np.ndarray, dist_upper: np.ndarray, times: TimeGrid
-) -> np.ndarray:
-    """T_k^j over the time grid: the cube column, inside one tent, outside
-    the next level's tent; shape (N, T).
-
-    The tent above a node set is dist(x, complement) >= t, so each tent is
-    given by the dist_to_complement of its set.
-    """
-    in_cube = np.zeros(cube.grid.n_nodes, dtype=bool)
-    in_cube[cube.node_set(0)] = True
-    ts = times.samples[None, :]
-    return in_cube[:, None] & (dist_lower[:, None] >= ts) & ~(dist_upper[:, None] >= ts)
-
-
 # ---------------------------------------------------------------------------
 # molecules
 # ---------------------------------------------------------------------------
@@ -326,8 +312,9 @@ class MolecularDecomposition:
 def _tents(
     f: ScalarField, op: DiscreteOperator, M: int, gamma: float, times: TimeGrid
 ) -> tuple:
-    """The tent stage: (mean-zero f, heat profile u, S_h f, tents), where
-    each tent is (level, cube index, weight C_M 2^k |Q|, mask, cube)."""
+    """The tent stage: (mean-zero f, heat profile u, S_h f, labels, tents).
+    Tent i is (level, cube index, weight C_M 2^k |Q|, cube); labels, shaped
+    like u, holds the tent of each (node, time), or -1 outside every tent."""
     grid = op.grid
     _require_dyadic(grid)
     try:
@@ -336,6 +323,7 @@ def _tents(
         raise DegenerateFieldError(str(exc)) from exc
     u = semigroup.heat_profile(op, ScalarField(v, grid), times, K=1)
     s_h = cone_integrate(SpaceTimeField(u, grid, times), ConeSpec(1.0))
+    labels = np.full(u.shape, -1)
     s = s_h.values.real
     smax = float(s.max())
     if smax == 0.0:
@@ -343,29 +331,29 @@ def _tents(
             raise DegenerateFieldError(
                 "square function vanishes identically on a nonzero field"
             )
-        return v, u, s_h, []
-    pos = s[s > 0]
-    kmin = math.floor(math.log2(float(pos.min())))
+        return v, u, s_h, labels, []
+    kmin = math.floor(math.log2(float(s[s > 0].min())))
     kmax = math.ceil(math.log2(smax))
     c_m = calderon_constant(M)
 
-    # per level: expanded sets, then Whitney cubes and their truncated tents
-    expanded: dict[int, np.ndarray] = {}
-    for k in range(kmin, kmax + 2):
-        o_k = np.nonzero(s > 2.0**k)[0]
-        expanded[k] = density_expansion(o_k, gamma, grid) if o_k.size else o_k
+    # Level k keeps each Whitney cube's column inside the tent over O*_k
+    # (dist to its complement >= t) and outside the tent over O*_{k+1}.  The
+    # maximal function is monotone in the set, so the expanded sets and their
+    # tents are nested and these bands are disjoint: each (node, time) lies
+    # in at most one tent.
+    levels = range(kmin, kmax + 2)
+    expanded = {k: density_expansion(np.nonzero(s > 2.0**k)[0], gamma, grid) for k in levels}
+    tent_over = {k: dist_to_complement(grid, o)[:, None] >= times.samples for k, o in expanded.items()}
     tents = []
-    for k in range(kmin, kmax + 1):
-        o_star = expanded[k]
-        if o_star.size == 0:
-            continue
-        lower = dist_to_complement(grid, o_star)
-        upper = dist_to_complement(grid, expanded[k + 1])
-        for j, cube in enumerate(whitney_decompose(o_star, grid)):
-            mask = truncated_tent_mask(cube, lower, upper, times)
-            if mask.any():
-                tents.append((k, j, c_m * 2.0**k * cube.volume, mask, cube))
-    return v, u, s_h, tents
+    for k in levels[:-1]:
+        band = tent_over[k] & ~tent_over[k + 1]
+        for j, cube in enumerate(whitney_decompose(expanded[k], grid)):
+            nodes = cube.node_set(0)
+            inside = band[nodes]
+            if inside.any():
+                labels[nodes] = np.where(inside, len(tents), labels[nodes])
+                tents.append((k, j, c_m * 2.0**k * cube.volume, cube))
+    return v, u, s_h, labels, tents
 
 
 def molecular_decompose(
@@ -384,29 +372,29 @@ def molecular_decompose(
     """
     grid = op.grid
     times = times or reproduction_times(op)
-    v, u, s_h, tents = _tents(f, op, M, gamma, times)
+    v, u, s_h, labels, tents = _tents(f, op, M, gamma, times)
     c_m = calderon_constant(M)
     calc = semigroup.calculus(op)
     ts = times.samples
     wlog = times.log_weights
 
     # integrate (t^2 L e^{-t^2 L})^{M+1} over each truncated tent, batched in
-    # t; with u = (M+1) t^2 the integrand is (uL)^{M+1} e^{-uL} / (M+1)^{M+1}
-    raw = [np.zeros(grid.n_nodes, dtype=complex) for _ in tents]
+    # t; with u = (M+1) t^2 the integrand is (uL)^{M+1} e^{-uL} / (M+1)^{M+1},
+    # on one column of u per tent that holds a node at t, in tent order
+    raw = np.zeros((grid.n_nodes, len(tents)), dtype=complex)
     for jt, t in enumerate(ts):
-        active = [i for i, item in enumerate(tents) if item[3][:, jt].any()]
-        if not active:
+        held = np.nonzero(labels[:, jt] >= 0)[0]
+        if not held.size:
             continue
-        cols = np.stack(
-            [u[:, jt] * tents[i][3][:, jt] for i in active], axis=1
-        )
+        active, col = np.unique(labels[held, jt], return_inverse=True)
+        cols = np.zeros((grid.n_nodes, active.size), dtype=complex)
+        cols[held, col] = u[held, jt]
         out = calc.heat_poly(M + 1, (M + 1) * float(t * t), cols) / (M + 1) ** (M + 1)
-        for pos_i, i in enumerate(active):
-            raw[i] += wlog[jt] * out[:, pos_i]
+        raw[:, active] += wlog[jt] * out
 
     recon = np.zeros(grid.n_nodes, dtype=complex)
     terms = []
-    for (k, j, weight, _, cube), integral in zip(tents, raw):
+    for (k, j, weight, cube), integral in zip(tents, raw.T):
         mvals = integral * (c_m / weight)
         recon += weight * mvals
         mol = Molecule(ScalarField(mvals, grid), cube, p, eps, M, 1.0)
@@ -443,7 +431,7 @@ def h1_norm_estimate(
     is integrated; weight_sum equals molecular_decompose's exactly.
     """
     times = times or reproduction_times(op)
-    _, _, s_h, tents = _tents(f, op, M, gamma, times)
-    weight_sum = float(sum(weight for _, _, weight, _, _ in tents))
+    _, _, s_h, _, tents = _tents(f, op, M, gamma, times)
+    weight_sum = float(sum(weight for _, _, weight, _ in tents))
     l1 = lp_norm(f.values, op.grid, 1)
     return H1Estimate(weight_sum, l1, weight_sum + l1, lp_norm(s_h.values, op.grid, 1))

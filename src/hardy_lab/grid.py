@@ -197,8 +197,8 @@ def random_elliptic_coefficients(
     and K skew-Hermitian of spectral norm <= 0.2*gap, so the Hermitian part of A
     is exactly H and the operator norm stays below Lam.
     """
-    if lam <= 0 or lam > Lam:
-        raise NonEllipticError("need 0 < lambda <= Lambda")
+    if not 0 < lam <= Lam < math.inf:
+        raise NonEllipticError("need 0 < lambda <= Lambda < inf")
     rng = np.random.default_rng(seed)
     d, n = grid.dim, grid.n_nodes
     gap = Lam - lam

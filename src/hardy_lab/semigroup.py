@@ -95,8 +95,8 @@ class TimeGrid:
     count: int
 
     def __post_init__(self):
-        if not (0 < self.t_min < self.t_max):
-            raise ValueError("need 0 < t_min < t_max")
+        if not (0 < self.t_min < self.t_max < math.inf):
+            raise ValueError("need 0 < t_min < t_max < inf")
         if self.count < 16:
             raise ValueError("need count >= 16")
 

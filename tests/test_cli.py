@@ -1,6 +1,7 @@
 """End-to-end command-line driver behavior."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -257,6 +258,15 @@ def test_non_dyadic_decompose_grid_is_config_error(tmp_path, capsys):
         ("bmo --seed -2", {}),
         ("riesz --grid 8", {}),
         ("validate --grid 16x12", {}),
+        ("validate", {"params": {"eps": math.inf}}),
+        ("validate", {"params": {"eps": 1e300}}),
+        ("validate", {"params": {"M": math.inf}}),
+        ("carleson", {"times": {"t_max": math.inf}}),
+        ("functional", {"times": {"t_max": math.inf}}),
+        ("functional", {"times": {"count": math.inf}}),
+        ("bmo", {"tolerances": {"spread": math.nan, "duality": math.nan}}),
+        ("assemble", {"coefficients": {"kind": "random", "lam": math.nan}}),
+        ("assemble", {"coefficients": {"kind": "random", "Lam": math.inf}}),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, command, extra):

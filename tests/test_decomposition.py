@@ -9,7 +9,6 @@ from hardy_lab import (
     Cube,
     Grid,
     ScalarField,
-    TimeGrid,
     assemble_operator,
     calderon_constant,
     generate_corpus,
@@ -29,7 +28,6 @@ from hardy_lab.decomposition import (
     SupportError,
     dist_to_complement,
     reproduction_times,
-    truncated_tent_mask,
 )
 
 
@@ -101,19 +99,37 @@ def test_whitney_empty_set(grid1d):
     assert whitney_decompose(np.array([], dtype=int), grid1d) == []
 
 
-def test_truncated_tent_masks_are_disjoint_and_telescope(grid1d):
-    lower = np.arange(8, 56)
-    upper = np.arange(20, 44)
-    cube = Cube(grid1d, (24,), 8)
-    times = TimeGrid(1e-3, 2.0, 32)
-    d_lower, d_upper, d_empty = (
-        dist_to_complement(grid1d, s) for s in (lower, upper, np.array([], dtype=int))
-    )
-    tent = truncated_tent_mask(cube, d_lower, d_upper, times)
-    inner = truncated_tent_mask(cube, d_upper, d_empty, times)
-    assert not (tent & inner).any()
-    merged = truncated_tent_mask(cube, d_lower, d_empty, times)
-    assert np.array_equal(tent | inner, merged)
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("sizes", [(64,), (16, 16)], ids=["64", "16x16"])
+def test_tent_labels_match_the_per_cube_masks(sizes, boundary):
+    grid = Grid(len(sizes), sizes, 1.0 / sizes[0], boundary)
+    op = assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, 1))
+    f = generate_corpus(op, "standard", 1, 0)[0]
+    times = decomposition_times(op)
+    _, _, s_h, labels, tents = decomposition._tents(f, op, 1, 0.5, times)
+    # one (N, T) mask per Whitney cube: the cube column inside the tent over
+    # its level's expanded set and outside the next level's tent
+    s = s_h.values.real
+    levels = range(math.floor(math.log2(s[s > 0].min())), math.ceil(math.log2(s.max())) + 2)
+    expanded = {k: decomposition.density_expansion(np.nonzero(s > 2.0**k)[0], 0.5, grid) for k in levels}
+    ts = times.samples
+    d = {k: dist_to_complement(grid, o)[:, None] for k, o in expanded.items()}
+    expected, masks = [], []
+    for k in levels[:-1]:
+        for j, cube in enumerate(whitney_decompose(expanded[k], grid)):
+            in_cube = np.zeros((grid.n_nodes, 1), dtype=bool)
+            in_cube[cube.node_set(0)] = True
+            mask = in_cube & (d[k] >= ts) & ~(d[k + 1] >= ts)
+            if mask.any():
+                expected.append((k, j, calderon_constant(1) * 2.0**k * cube.volume, cube))
+                masks.append(mask)
+    assert len(tents) > 1 and tents == expected
+    # the masks are disjoint because the expanded sets are nested
+    assert np.sum(masks, axis=0).max() == 1
+    assert labels.shape == (grid.n_nodes, ts.size)
+    assert -1 <= labels.min() and labels.max() < len(tents)
+    for i, mask in enumerate(masks):
+        assert np.array_equal(labels == i, mask)
 
 
 def test_decompose_reconstructs(op1d, grid1d):
