@@ -280,8 +280,12 @@ def cmd_assemble(cfg: ExperimentConfig) -> None:
         },
     )
     np.save(cfg.out / "coefficients.npy", coeff.matrices)
+    cfg.op = op
     if op.n <= semigroup.AUTO_DENSE_MAX:
-        w = semigroup.eigenvalues(op)
+        # the verified eigenbasis, loaded or built and stored for the
+        # commands that follow; eigenvalues alone only if its check failed
+        calc = semigroup.calculus(op)
+        w = calc.w if isinstance(calc, semigroup.DenseCalculus) else semigroup.eigenvalues(op)
         order = np.argsort(w.real, kind="stable")
         rows = [(int(i), w[j].real, w[j].imag) for i, j in enumerate(order)]
         serialize.write_csv(cfg.out / "spectrum.csv", ("index", "re", "im"), rows)

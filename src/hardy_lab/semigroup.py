@@ -19,7 +19,8 @@ basis passes the same reconstruction check as a built one; an entry that
 is missing, unreadable or fails the check is rebuilt and replaced, and an
 unwritable directory only means nothing is kept.  The directory is held
 under CACHE_MAX_BYTES by deleting the least recently used entries.
-`eigenvalues` neither reads nor writes it.
+`eigenvalues`, the fallback for a basis that fails its check, neither
+reads nor writes it.
 
 Functions of sqrt(L) are evaluated on the eigenbasis only.  L^{1/2} and
 L^{-1/2} are the principal z^{1/2} and z^{-1/2} on the eigenvalues, the
@@ -455,8 +456,11 @@ def _reconstruction_error(
     with eta <= 2, so no summed term exceeds e^eta.  Each step is the
     polynomial of the first m terms, m the least with remainder bound
     e^eta eta^m / m! <= 1e-16 (after Al-Mohy & Higham, SIAM J. Sci. Comput.
-    33, 2011), evaluated in Horner form: m - 1 sparse products a step, each
-    scaled and shifted in place.  On the 32x32 perfbench operator
+    33, 2011), evaluated in Horner form: m - 1 sparse products a step.
+    Horner's 1/k is folded into the sparse factor (one copy of its data,
+    rescaled for each k), and the first step adds its identity start on
+    the block's diagonal only, so only a later step's start is added over
+    the whole block.  On the 32x32 perfbench operator
     ||t0 L||_1 = 1.24 gives one step of m = 21.
     """
     n = w.size
@@ -469,19 +473,24 @@ def _reconstruction_error(
         m += 1
         bound *= eta / m
     step = (-t0 / steps) * matrix
+    scaled = step.copy()  # step / k for the current Horner term k
     decay = np.exp(-t0 * w)[:, None]
     diff2 = ref2 = 0.0
     for lo in range(0, n, _CHECK_BLOCK):
         hi = min(lo + _CHECK_BLOCK, n)
+        diag = (np.arange(lo, hi), np.arange(hi - lo))
         ref = np.zeros((n, hi - lo), dtype=complex)
-        ref[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-        for _ in range(steps):
+        ref[diag] = 1.0
+        for i in range(steps):
             start = ref
-            # sum_{k<m} step^k start / k! = start + step(start + step(start + ...)/2)/1
+            # sum_{k<m} step^k start / k! = start + (step/1)(start + (step/2)(start + ...))
             for k in range(m - 1, 0, -1):
-                ref = step @ ref
-                ref /= k
-                ref += start
+                np.divide(step.data, k, out=scaled.data)
+                ref = scaled @ ref
+                if i:
+                    ref += start
+                else:
+                    ref[diag] += 1.0
         rec = v @ (decay * vinv[:, lo:hi])
         diff2 += float(np.linalg.norm(rec - ref)) ** 2
         ref2 += float(np.linalg.norm(ref)) ** 2
@@ -502,7 +511,8 @@ def _pin_kernel(w: np.ndarray, kernel_dim: int) -> tuple[np.ndarray, np.ndarray]
 
 def eigenvalues(op: DiscreteOperator) -> np.ndarray:
     """The eigenvalues of L, kernel pinned as in DenseCalculus, with no
-    eigenvectors, inverse or reconstruction check."""
+    eigenvectors, inverse or reconstruction check: the spectrum where the
+    eigenbasis failed its check and `calculus` fell back to Krylov."""
     return _pin_kernel(scipy.linalg.eigvals(op.matrix.toarray()), op.kernel_dim)[0]
 
 

@@ -207,12 +207,31 @@ def test_assemble_writes_the_sorted_spectrum(tmp_path, grid, boundary):
     got = np.array([float(re) + 1j * float(im) for _, re, im in rows])
     g = Grid(len(grid), tuple(grid), 1.0 / max(grid), boundary)
     op = assemble_operator(g, random_elliptic_coefficients(g, 0.5, 2.0, seed=1))
-    w = semigroup.DenseCalculus(op).w
-    w = w[np.argsort(w.real, kind="stable")]
-    assert got.size == op.n
-    assert np.abs(got - w).max() <= 1e-10 * np.abs(w).max()
+    # the eigenvalues of the verified eigenbasis, as the formatter writes them
+    assert rows == spectrum_rows(semigroup.DenseCalculus(op).w)
     # the kernel row is pinned to exactly zero on periodic grids only
     assert (np.count_nonzero(got == 0) == 1) == (boundary == "periodic")
+
+
+def spectrum_rows(w):
+    """The rows of spectrum.csv for the eigenvalues w, as read back."""
+    w = w[np.argsort(w.real, kind="stable")]
+    return [[str(i), serialize.fmt(z.real), serialize.fmt(z.imag)] for i, z in enumerate(w)]
+
+
+def test_assemble_falls_back_to_eigenvalues_when_the_check_fails(
+    tmp_path, monkeypatch, eigenbasis_cache
+):
+    monkeypatch.setattr(semigroup, "_reconstruction_error", lambda *basis: math.inf)
+    assert cli.main(["assemble", "--config", str(write_config(tmp_path))]) == cli.EXIT_OK
+    reports = tmp_path / "reports"
+    rows = serialize.read_csv(reports / "spectrum.csv")[1]
+    grid = Grid(1, (64,), 1.0 / 64)
+    op = assemble_operator(grid, identity_coefficients(grid))
+    assert rows == spectrum_rows(semigroup.eigenvalues(op))
+    meta = json.loads((reports / "run_metadata.json").read_text())
+    assert meta["calculus"] == {"backend": "krylov"}
+    assert not list(eigenbasis_cache.glob("*.eig"))  # a failed basis is not kept
 
 
 def test_assemble_writes_no_spectrum_past_dense_size(tmp_path, monkeypatch):
@@ -390,9 +409,23 @@ def test_metadata_records_the_calculus(tmp_path, eigenbasis_cache):
             assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
 
 
+def test_assemble_fills_the_eigenbasis_cache(tmp_path):
+    cfg = write_config(tmp_path)
+    metas = []
+    for command, out in (("assemble", "cold"), ("assemble", "warm"), ("bmo", "bmo")):
+        out = tmp_path / out
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        metas.append(json.loads((out / "run_metadata.json").read_text())["calculus"])
+    assert [m["eigenbasis"] for m in metas] == ["built", "cache", "cache"]
+    assert len({m["cache_key"] for m in metas}) == 1
+    # a loaded basis writes the spectrum the built one wrote
+    spectra = [(tmp_path / run / "spectrum.csv").read_bytes() for run in ("cold", "warm")]
+    assert spectra[0] == spectra[1]
+
+
 @pytest.mark.parametrize(
     "command, dense_max, expected",
-    [("validate", 0, {"backend": "krylov"}), ("assemble", 1024, None)],
+    [("validate", 0, {"backend": "krylov"}), ("assemble", 63, None)],
     ids=["krylov", "no-calculus"],
 )
 def test_metadata_without_an_eigenbasis(tmp_path, monkeypatch, command, dense_max, expected):
