@@ -6,8 +6,12 @@ by `calculus(op)`.  The rule is: up to AUTO_DENSE_MAX nodes, eigendecompose
 L and keep the eigenbasis if it reconstructs a full matrix exponential to
 1e-10 (`DenseCalculus`); above that size, or when the check fails, use
 sparse exponential actions and direct sparse solves (`KrylovCalculus`).
-Both backends share the sparse LU routes for resolvents and negative
-powers.
+The size rule picks the solver with the backend: `KrylovCalculus` solves
+resolvents and negative powers by sparse LU, `DenseCalculus` reads them
+off the eigenbasis with one step of iterative refinement against the
+sparse L, so a dense command factorizes nothing.  `scipy.linalg` (for
+`eig`) and `scipy.sparse.linalg` (for LU and Krylov actions) are imported
+on first use: a command served by a cached eigenbasis loads neither.
 
 A verified eigenbasis is also kept on disk, under
 $XDG_CACHE_HOME/hardy-lab (~/.cache/hardy-lab when that is unset), so
@@ -42,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import hashlib
+import importlib
 import math
 import os
 import platform
@@ -50,9 +55,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
+import scipy
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import (
     Grid,
@@ -72,6 +76,21 @@ DEFAULT_QUAD_NODES = 128
 # the eigenbasis cache directory is held under this size; an entry at
 # AUTO_DENSE_MAX nodes takes 32 MiB
 CACHE_MAX_BYTES = 512 * 2**20
+
+
+class _OnFirstUse:
+    """A module imported on its first attribute access.  An attribute set
+    on the proxy shadows the module's, so callers can still rebind one."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+# only KrylovCalculus needs scipy.sparse.linalg (splu, expm_multiply)
+spla = _OnFirstUse("scipy.sparse.linalg")
 
 
 class ConvergenceError(RuntimeError):
@@ -199,7 +218,10 @@ class KrylovCalculus:
         if s not in self._lu:
             mat = sp.identity(self.n, format="csc", dtype=complex) + s * self.matrix.tocsc()
             self._lu[s] = spla.splu(mat)
-        out = self._lu[s].solve(v)
+        return self._checked_resolvent(s, v, self._lu[s].solve(v))
+
+    def _checked_resolvent(self, s: float, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out, unless its residual against (I + sL) out = v exceeds 1e-10."""
         resid = np.linalg.norm(out + s * (self.matrix @ out) - v)
         scale = max(np.linalg.norm(v), 1e-300)
         if resid / scale > 1e-10:
@@ -249,8 +271,11 @@ class DenseCalculus(KrylovCalculus):
     instance has passed the check in its own process.  `source` says
     where the basis came from ("built" or "cache"), next to
     `reconstruction_error` and `cache_key`.  V, V^{-1} and w are the only
-    N x N state.  Functions of L are evaluated on the eigenvalues;
-    resolvents and negative powers keep the sparse LU routes.
+    N x N state.  Functions of L are evaluated on the eigenvalues, and so
+    are resolvents and negative powers, each followed by one refinement
+    step against the sparse L that keeps it as accurate as an LU solve
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, ch. 12).
     """
 
     # an adjoint holds transposed views of V and V^{-1} and conjugates
@@ -299,6 +324,33 @@ class DenseCalculus(KrylovCalculus):
     def heat_poly(self, k: int, s: float, v: np.ndarray) -> np.ndarray:
         return self._apply_vals((s * self.w) ** k * np.exp(-s * self.w), v)
 
+    def resolvent(self, s: float, v: np.ndarray) -> np.ndarray:
+        """(I + sL)^{-1} v: the symbol 1/(1 + s w), one refinement step,
+        residual-checked."""
+        if s == 0:
+            return np.array(v, copy=True)
+        symbol = 1.0 / (1.0 + s * self.w)
+        out = self._apply_vals(symbol, v)
+        out += self._apply_vals(symbol, v - out - s * (self.matrix @ out))
+        return self._checked_resolvent(s, v, out)
+
+    def neg_power(self, k: int, v: np.ndarray) -> np.ndarray:
+        """L^{-k} v by k applications of the symbol 1/w, 0 on the pinned
+        kernel, each refined once against the sparse L.
+
+        On periodic grids every application lands on the mean-zero fields,
+        and the roundoff mean of its residual is removed before the
+        refinement step.  The input should be mean-zero (see `mean_zero`).
+        """
+        symbol = self._inverse_off_kernel(self.w)
+        for _ in range(k):
+            out = self._apply_vals(symbol, v)
+            resid = v - self.matrix @ out
+            if self.kernel_dim:
+                resid -= resid.mean(axis=0)
+            v = out + self._apply_vals(symbol, resid)
+        return v
+
     def poisson(self, t: float, v: np.ndarray) -> np.ndarray:
         """e^{-t sqrt(L)} v by the subordination rule over heat_batch."""
         nodes, coeffs = _subordination_rule(DEFAULT_QUAD_NODES)
@@ -311,8 +363,11 @@ class DenseCalculus(KrylovCalculus):
     def inv_sqrt(self, v: np.ndarray) -> np.ndarray:
         """L^{-1/2} v for a mean-zero v: the principal branch of `sqrt`,
         inverted off the kernel and 0 on it."""
-        root = np.sqrt(np.where(self.kernel_mask, 1.0, self.w).astype(complex))
-        return self._apply_vals(np.where(self.kernel_mask, 0.0, 1.0 / root), v)
+        return self._apply_vals(self._inverse_off_kernel(np.sqrt(self.w.astype(complex))), v)
+
+    def _inverse_off_kernel(self, vals: np.ndarray) -> np.ndarray:
+        """1 / vals off the kernel, 0 on it."""
+        return np.where(self.kernel_mask, 0.0, 1.0 / np.where(self.kernel_mask, 1.0, vals))
 
     def adjoint(self) -> "DenseCalculus":
         """The calculus of L* = V^{-H} diag(conj w) V^H, from this eigenbasis.
@@ -331,6 +386,8 @@ class DenseCalculus(KrylovCalculus):
 
 def _build_eigenbasis(matrix: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(w, V, V^{-1}) of the sparse L by dense `eig` and `inv`, unchecked."""
+    import scipy.linalg  # a cache hit never needs it
+
     a = matrix.toarray()
     w, v = scipy.linalg.eig(a)
     del a
@@ -513,6 +570,8 @@ def eigenvalues(op: DiscreteOperator) -> np.ndarray:
     """The eigenvalues of L, kernel pinned as in DenseCalculus, with no
     eigenvectors, inverse or reconstruction check: the spectrum where the
     eigenbasis failed its check and `calculus` fell back to Krylov."""
+    import scipy.linalg
+
     return _pin_kernel(scipy.linalg.eigvals(op.matrix.toarray()), op.kernel_dim)[0]
 
 
@@ -585,7 +644,7 @@ def heat_power_apply(
 
 
 def resolvent_apply(op: DiscreteOperator, t: float, f: ScalarField) -> ScalarField:
-    """(I + t^2 L)^{-1} f by sparse direct solve, residual-checked."""
+    """(I + t^2 L)^{-1} f, residual-checked."""
     return ScalarField(calculus(op).resolvent(t * t, _check_field(op, f)), op.grid)
 
 

@@ -306,9 +306,16 @@ def test_decompose_reproduces_on_a_stiff_operator(tmp_path):
 
 
 def test_cli_import_leaves_optional_scipy_modules_unloaded():
-    # scipy.optimize, scipy.ndimage and the oracle suite (with scipy.integrate)
-    # load inside the one function that needs each of them
-    optional = ("scipy.optimize", "scipy.ndimage", "scipy.integrate", "hardy_lab.oracle_suite")
+    # scipy.optimize, scipy.ndimage, scipy.linalg, scipy.sparse.linalg and the
+    # oracle suite (with scipy.integrate) load inside the functions that need them
+    optional = (
+        "scipy.optimize",
+        "scipy.ndimage",
+        "scipy.integrate",
+        "scipy.linalg",
+        "scipy.sparse.linalg",
+        "hardy_lab.oracle_suite",
+    )
     code = f"import sys, hardy_lab.cli; print([m for m in {optional!r} if m in sys.modules])"
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -316,6 +323,36 @@ def test_cli_import_leaves_optional_scipy_modules_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_warm_dense_commands_load_no_scipy_linalg(tmp_path):
+    # each command in a fresh interpreter on a basis assemble already built:
+    # no eig, no LU, so neither scipy.linalg nor scipy.sparse.linalg loads
+    cfg = write_config(
+        tmp_path, grid={"sizes": [16, 16]}, coefficients={"kind": "random", "seed": 1}
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(tmp_path / "xdg"))
+    heavy = ("scipy.linalg", "scipy.sparse.linalg")
+    code = (
+        "import json, sys\n"
+        "from hardy_lab import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        f"print(json.dumps([code, [m for m in {heavy!r} if m in sys.modules]]))\n"
+    )
+    for command, out in [("assemble", "cold")] + [
+        (c, c) for c in ("assemble", "bmo", "carleson", "riesz")
+    ]:
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / out)]
+        run = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+        )
+        status, loaded = json.loads(run.stdout.strip().splitlines()[-1])
+        assert status == cli.EXIT_OK, run.stderr
+        meta = json.loads((tmp_path / out / "run_metadata.json").read_text())
+        if out != "cold":
+            assert meta["calculus"]["eigenbasis"] == "cache"
+            assert loaded == [], (command, loaded)
 
 
 def test_non_finite_norm_exits_four(tmp_path, capsys, monkeypatch):

@@ -260,12 +260,38 @@ def test_neg_power_factorizes_sparse_bordered_matrix(monkeypatch, grid2d):
 
     monkeypatch.setattr(semigroup.spla, "splu", recording_splu)
     f = mean_zero_field(grid2d, seed=5)
-    out = neg_power_apply(op, 1, f).values
+    out = semigroup.KrylovCalculus(op).neg_power(1, f.values)
     assert len(seen) == 1
     # L bordered by the constants: no dense rank-one pin
     assert seen[0].nnz <= op.matrix.nnz + 2 * op.n + 1
     assert np.abs(op.matrix @ out - f.values).max() < 1e-10
     assert abs(out.mean()) < 1e-12 * np.abs(out).max()
+
+
+@pytest.mark.parametrize("boundary", ["periodic", DIRICHLET])
+@pytest.mark.parametrize("sizes", [(64,), (16, 16)], ids=["1d", "2d"])
+def test_dense_solves_factorize_nothing(monkeypatch, sizes, boundary):
+    grid = Grid(len(sizes), sizes, 1.0 / sizes[0], boundary)
+    op = assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, seed=1))
+    v = mean_zero_field(grid, seed=3).values
+    cases = [(m, adj) for m in ("resolvent", "neg_power") for adj in (False, True)]
+
+    def solves(calc):
+        return [PARITY[m][0](calc.adjoint() if adj else calc, v) for m, adj in cases]
+
+    expected = solves(semigroup.KrylovCalculus(op))
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("a dense solve factorized")
+
+    monkeypatch.setattr(semigroup.spla, "splu", no_splu)
+    dense = semigroup.DenseCalculus(op)
+    for (m, _), got, ref in zip(cases, solves(dense), expected):
+        assert np.abs(got - ref).max() <= PARITY[m][1] * np.abs(ref).max()
+    # one refinement step does not hide a wrong symbol from the residual check
+    dense.w = dense.w * 1.001
+    with pytest.raises(ConvergenceError):
+        dense.resolvent(0.01, v)
 
 
 def test_mean_zero_passes_dirichlet_fields_through():
