@@ -115,8 +115,9 @@ class TimeGrid:
     count: int
 
     def __post_init__(self):
-        if not (0 < self.t_min < self.t_max < math.inf):
-            raise ValueError("need 0 < t_min < t_max < inf")
+        # the profiles run at the heat times t^2
+        if not (0 < self.t_min < self.t_max and math.isfinite(self.t_max * self.t_max)):
+            raise ValueError("need 0 < t_min < t_max with t_max^2 finite")
         if self.count < 16:
             raise ValueError("need count >= 16")
 
@@ -151,7 +152,7 @@ def default_time_grid(grid: Grid) -> TimeGrid:
 class KrylovCalculus:
     """Functional calculus of one operator through sparse routes, at any size.
 
-    Heat actions are Krylov exponential actions, one column at a time;
+    Heat actions are Krylov exponential actions, a block in one call;
     resolvents and negative powers are sparse LU solves, factorized once
     per shift and kept for the life of the instance; on periodic grids the
     negative powers factorize L bordered by the constants, which keeps the
@@ -169,8 +170,6 @@ class KrylovCalculus:
         """e^{-sL} v for a vector or a block of columns."""
         if s == 0:
             return np.array(v, copy=True)
-        if v.ndim == 2:
-            return np.stack([self.heat(s, col) for col in v.T], axis=1)
         try:
             return spla.expm_multiply(-s * self.matrix, v)
         except Exception as exc:  # pragma: no cover - scipy internal failure

@@ -4,8 +4,10 @@ norms and the square-function duality pairing.
 Cube-mean subtraction is replaced by (I - A_l)^M where A_l is either the
 heat operator e^{-l^2 L} or the resolvent (I + l^2 L)^{-1} at the cube's
 sidelength l.  The cube/ball family is dyadic with every anchor position
-in 1D and anchored on the dyadic lattice in 2D; the family is fixed so
-that all suprema are reproducible bit for bit.
+in 1D and anchored on the dyadic lattice in 2D.  It is defined once, level
+by level: `_levels` gives each sidelength's anchors and `_level_tables`
+each cube's nodes and their depths below its faces, so every supremum is
+one gather per level, reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -15,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Cube,
-    Grid,
-    GridError,
-    PERIODIC,
-    ScalarField,
-    lp_norm,
-    restricted_lp_norm,
-)
+from .grid import Cube, Grid, GridError, PERIODIC, ScalarField, lp_norm
 from .operator import DiscreteOperator
 from . import semigroup
 from .functionals import ConeSpec, SpaceTimeField, cone_integrate
@@ -32,26 +26,73 @@ from .semigroup import TimeGrid
 BMO_VARIANTS = ("heat", "resolvent")
 
 
-def dyadic_cubes(grid: Grid) -> list:
-    """The fixed cube family behind every BMO/Carleson supremum.
-
-    Sidelengths are 2h, 4h, ... up to the full axis; anchors run over all
-    positions in 1D and over the dyadic lattice in 2D.
-    """
-    cubes = []
-    size = min(grid.sizes)
+def _levels(grid: Grid):
+    """Yield (m, anchors (K, dim)) for the family's cubes of m = 2, 4, ...
+    nodes per axis: every position that fits in 1D, the dyadic lattice of
+    step m in 2D."""
     m = 2
-    while m <= size:
+    while m <= min(grid.sizes):
         if grid.dim == 1:
-            anchors = range(grid.sizes[0] if grid.boundary == PERIODIC else grid.sizes[0] - m + 1)
-            cubes.extend(Cube(grid, (a,), m) for a in anchors)
+            n = grid.sizes[0] if grid.boundary == PERIODIC else grid.sizes[0] - m + 1
+            yield m, np.arange(n)[:, None]
         else:
-            steps = [range(0, s, m) for s in grid.sizes]
-            cubes.extend(
-                Cube(grid, (a, b), m) for a in steps[0] for b in steps[1]
-            )
+            axes = np.meshgrid(*(np.arange(0, s, m) for s in grid.sizes), indexing="ij")
+            yield m, np.stack(axes, axis=-1).reshape(-1, grid.dim)
         m *= 2
-    return cubes
+
+
+def dyadic_cubes(grid: Grid) -> list:
+    """The fixed cube family behind every BMO/Carleson supremum."""
+    return [Cube(grid, tuple(a), m) for m, anchors in _levels(grid) for a in anchors.tolist()]
+
+
+# table entries per block of rows: bounds the memory on long 1D grids,
+# where a level holds N cubes of up to N nodes
+_TABLE_BLOCK = 1 << 16
+
+
+def _level_tables(grid: Grid):
+    """Yield (m, nodes, n_nodes, depth) per level of the cube family, in
+    blocks of rows of at most `_TABLE_BLOCK` entries (or one row).
+
+    Row k of ``nodes`` holds cube k's sorted flat nodes in its first
+    ``n_nodes[k]`` entries, then node 0 at depth 0 for each node it loses
+    to Dirichlet clipping.  ``depth`` is the distance to the nearest node
+    outside the cube, straight across a face: min over the axes of
+    min(o + 1, m - o) * h, o the node's offset in the cube.  There is no
+    face on a periodic axis the cube spans, nor on a Dirichlet array edge
+    (inf when the cube covers the grid).
+    """
+    periodic = grid.boundary == PERIODIC
+    for m, level in _levels(grid):
+        step = max(1, _TABLE_BLOCK // m**grid.dim)
+        for anchors in (level[i : i + step] for i in range(0, len(level), step)):
+            k, o = len(anchors), np.arange(m)
+            flat, depth = np.zeros((k, 1), int), np.full((k, 1), np.inf)
+            inside = np.ones((k, 1), bool)
+            for a, size in enumerate(grid.sizes):
+                start = anchors[:, a, None]
+                if periodic:
+                    # sorted along each axis, so the flat indices come out sorted
+                    idx = np.sort((start + o) % size, axis=1)
+                    off = (idx - start) % size
+                    lo = hi = m < size
+                else:
+                    idx, off = start + o, o
+                    lo, hi = start > 0, start + m < size
+                face = np.minimum(np.where(lo, off + 1.0, np.inf), np.where(hi, m - off, np.inf))
+                flat = (flat[:, :, None] * size + idx[:, None, :]).reshape(k, -1)
+                inside = (inside[:, :, None] & (idx < size)[:, None, :]).reshape(k, -1)
+                depth = np.minimum(depth[:, :, None], face[:, None, :]).reshape(k, -1)
+            depth *= grid.spacing
+            if not inside.all():
+                # a clipped cube's nodes move to the front of its row, in order
+                order = np.argsort(~inside, axis=1, kind="stable")
+                flat, inside, depth = (
+                    np.take_along_axis(x, order, axis=1) for x in (flat, inside, depth)
+                )
+                flat, depth = np.where(inside, flat, 0), np.where(inside, depth, 0.0)
+            yield m, flat, inside.sum(axis=1), depth
 
 
 def _oscillation_fields(
@@ -64,9 +105,9 @@ def _oscillation_fields(
     if M < 1:
         raise ValueError("need M >= 1")
     grid = op.grid
-    lengths = sorted({c.sidelength for c in dyadic_cubes(grid)})
     out = {}
-    for ell in lengths:
+    for m, _ in _levels(grid):
+        ell = m * grid.spacing
         v = f.values
         for _ in range(M):
             if variant == "resolvent":
@@ -87,17 +128,20 @@ class BmoReport:
 
 def _cube_sup(osc: dict, grid: Grid, p: float) -> float:
     """Supremum over the cube family of the L^p cube means of the
-    oscillation fields."""
-    if not p > 1:
-        raise ValueError("need p > 1")
-    return max(
-        (
-            restricted_lp_norm(osc[cube.sidelength], grid, cube.node_set(0), p)
-            / cube.volume ** (1.0 / p)
-            for cube in dyadic_cubes(grid)
-        ),
-        default=0.0,
-    )
+    oscillation fields; NaN if any mean is NaN."""
+    if not 1 < p < math.inf:
+        raise ValueError("need 1 < p < inf")
+    best = [0.0]
+    for m, nodes, n_nodes, _ in _level_tables(grid):
+        ell = m * grid.spacing
+        a = np.abs(osc[ell])
+        # rows of one length, so each sum runs in the order of a 1D lp_norm
+        sums = np.concatenate(
+            [(a[nodes[n_nodes == n, :n]] ** p).sum(axis=1) for n in np.unique(n_nodes)]
+        )
+        mean = float(sums.max() ** (1.0 / p) * grid.cell_volume ** (1.0 / p))
+        best.append(mean / (ell**grid.dim) ** (1.0 / p))
+    return float(np.max(best))
 
 
 def bmo_norm(
@@ -117,54 +161,23 @@ def bmo_norm(
 # ---------------------------------------------------------------------------
 
 
-def _cube_depth(cube: Cube) -> np.ndarray:
-    """Per-node distance from the cube's nodes to the nodes outside it, as
-    `decomposition.dist_to_complement` of `cube.node_set(0)` gives it, read
-    off the cube's faces.
-
-    The nearest node outside a box lies straight across one face, so the
-    Euclidean distance is the least over the axes of min(o + 1, m - o),
-    o the node's offset in the cube's m nodes along the axis.  Offsets wrap
-    on periodic axes, where a cube that spans the axis has no face; on
-    Dirichlet grids a face on the array edge has no node behind it.  0
-    outside the cube, inf everywhere when it covers the grid.
-    """
-    grid = cube.grid
-    m = cube.nnodes
-    periodic = grid.boundary == PERIODIC
-    depth = np.full(grid.sizes, np.inf)
-    for a, size in enumerate(grid.sizes):
-        start = cube.anchor[a]
-        if periodic and m >= size:
-            continue
-        off = np.arange(size) - start
-        if periodic:
-            off %= size
-        axis = np.full(size, np.inf)
-        if periodic or start > 0:
-            axis = np.minimum(axis, off + 1)
-        if periodic or start + m < size:
-            axis = np.minimum(axis, m - off)
-        axis[(off < 0) | (off >= m)] = 0.0
-        depth = np.minimum(depth, axis.reshape([size if b == a else 1 for b in range(grid.dim)]))
-    return depth.ravel() * grid.spacing
-
-
 def _tent_mean_sup(density: np.ndarray, grid: Grid, times: TimeGrid) -> float:
     """sup over the ball family of mass / |ball|, where mass integrates a
-    space-time density over the tent above the ball.
+    space-time density over the tent above the ball; NaN if any mass is.
 
     density has shape (N, T) and already carries |.|^2; the integral is
-    against dy dt/t (trapezoid in log t, so the 1/t is in the weights).
+    against dy dt/t (trapezoid in log t, so the 1/t is in the weights).  A
+    node at depth d in a cube lies under the tent at the times t <= d, so
+    its share of the mass is a running sum over t read at d.
     """
     ts = times.samples
-    wlog = times.log_weights
-    best = 0.0
-    for cube in dyadic_cubes(grid):
-        mask = _cube_depth(cube)[:, None] >= ts[None, :]
-        mass = float(((mask * density).sum(axis=0) * wlog).sum() * grid.cell_volume)
-        best = max(best, mass / cube.volume)
-    return best
+    run = np.zeros((density.shape[0], ts.size + 1))
+    np.cumsum(density * times.log_weights, axis=1, out=run[:, 1:])
+    best = [0.0]
+    for m, nodes, _, depth in _level_tables(grid):
+        mass = run[nodes, np.searchsorted(ts, depth, side="right")].sum(axis=1)
+        best.append(mass.max() * grid.cell_volume / (m * grid.spacing) ** grid.dim)
+    return float(np.max(best))
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +255,6 @@ def _duality_time_grid(grid: Grid) -> TimeGrid:
 @dataclass(frozen=True, eq=False)
 class JohnNirenbergReport:
     norms: dict  # p -> BMO_L^p norm
-    ratios: dict  # (p, q) -> norm_p / norm_q
 
 
 def john_nirenberg_compare(
@@ -251,15 +263,6 @@ def john_nirenberg_compare(
     M: int = 1,
     p_list: tuple = (1.5, 2.0, 3.0),
 ) -> JohnNirenbergReport:
-    """Heat BMO_L^p norms across exponents with their pairwise ratios."""
+    """Heat BMO_L^p norms across exponents, on one set of oscillation fields."""
     osc = _oscillation_fields(f, op, M, "heat")
-    norms = {p: _cube_sup(osc, op.grid, p) for p in p_list}
-    ratios = {}
-    for p in p_list:
-        for q in p_list:
-            if p == q:
-                continue
-            ratios[(p, q)] = (
-                norms[p] / norms[q] if norms[q] > 0 else math.inf if norms[p] > 0 else 1.0
-            )
-    return JohnNirenbergReport(norms, ratios)
+    return JohnNirenbergReport({p: _cube_sup(osc, op.grid, p) for p in p_list})

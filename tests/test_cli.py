@@ -286,6 +286,7 @@ def test_non_dyadic_decompose_grid_is_config_error(tmp_path, capsys):
         ("bmo", {"tolerances": {"spread": math.nan, "duality": math.nan}}),
         ("assemble", {"coefficients": {"kind": "random", "lam": math.nan}}),
         ("assemble", {"coefficients": {"kind": "random", "Lam": math.inf}}),
+        ("carleson", {"times": {"t_max": 1e200}}),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, command, extra):
