@@ -102,7 +102,16 @@ class ExperimentConfig:
             raise ConfigError("config root must be a JSON object")
         self.grid = self._build_grid(_section(obj, "grid"), overrides.grid)
         self.coeff_spec = _section(obj, "coefficients")
-        self.times_spec = _section(obj, "times")
+        times = _section(obj, "times")
+        try:
+            base = semigroup.default_time_grid(self.grid)
+            self.time_grid = TimeGrid(
+                float(times.get("t_min", base.t_min)),
+                float(times.get("t_max", base.t_max)),
+                int(times.get("count", base.count)),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"times: {exc}") from exc
         params = _section(obj, "params")
         self.M = _number("params.M", params.get("M", 1), int)
         self.p = _number("params.p", params.get("p", 2.0))
@@ -137,7 +146,7 @@ class ExperimentConfig:
             raise ConfigError("params.eps must be > 0")
         # the decay tables divide by decay bounds, none below the bound of a
         # corner node's outermost annulus (the most a cube has) at the grid's volume
-        outermost = len(Cube(self.grid, (0,) * self.grid.dim, 1).annuli()) - 1
+        outermost = int(Cube(self.grid, (0,) * self.grid.dim, 1).annulus_labels().max())
         least = decomposition.molecule_bound(outermost, self.grid, self.p, self.eps, full_grid_cube(self.grid))
         if least < np.finfo(float).tiny:
             raise ConfigError(f"params.eps = {self.eps}: the molecule decay bound underflows on this grid")
@@ -205,20 +214,10 @@ class ExperimentConfig:
         return self.op
 
     def times(self) -> TimeGrid:
-        s = self.times_spec
-        base = semigroup.default_time_grid(self.grid)
-        try:
-            return TimeGrid(
-                float(s.get("t_min", base.t_min)),
-                float(s.get("t_max", base.t_max)),
-                int(s.get("count", base.count)),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"times: {exc}") from exc
+        return self.time_grid
 
     def decomposition_times(self, op: DiscreteOperator) -> TimeGrid:
-        base = self.times()
-        return decomposition.reproduction_times(op, base.t_max, base.count)
+        return decomposition.reproduction_times(op, self.time_grid.t_max, self.time_grid.count)
 
     def fields(self, op: DiscreteOperator) -> list:
         return corpus_mod.generate_corpus(

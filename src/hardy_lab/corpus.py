@@ -76,8 +76,10 @@ def molecule_corpus(
     out = []
     for _ in range(count):
         cube = cubes[int(rng.integers(len(cubes)))]
-        nodes = cube.node_set(0)
-        center = grid.coords()[nodes].mean(axis=0)
+        nodes = cube.node_set()
+        # the cube's own center, which a mean of its node coordinates misses
+        # when the cube wraps a periodic axis
+        center = (np.array(cube.anchor) + (cube.nnodes - 1) / 2) * grid.spacing
         raw = np.zeros(grid.n_nodes, dtype=complex)
         raw[nodes] = _cos_bump(grid, center, 0.5 * cube.sidelength)[nodes] + 1e-3
         raw *= cube.volume ** (-0.5) / (lp_norm(raw, grid, 2) * (1 + 1e-9))

@@ -258,33 +258,35 @@ class Cube:
             return np.mod(idx, size)
         return idx[(idx >= 0) & (idx < size)]
 
-    def node_set(self, dilation: int = 0) -> np.ndarray:
-        """Flat indices covered by 2^dilation Q, sorted and unique."""
-        m = self.nnodes
-        count = m * (2**dilation)
-        shift = (count - m) // 2
-        per_axis = [
-            self._axis_nodes(a, self.anchor[a] - shift, count)
-            for a in range(self.grid.dim)
-        ]
-        if any(ax.size == 0 for ax in per_axis):
-            return np.empty(0, dtype=int)
-        flat = per_axis[0]
-        for nodes, size in zip(per_axis[1:], self.grid.sizes[1:]):
-            flat = (flat[:, None] * size + nodes[None, :]).ravel()
+    def node_set(self) -> np.ndarray:
+        """Flat indices covered by Q, sorted and unique."""
+        flat = np.zeros((), dtype=int)
+        for a, size in enumerate(self.grid.sizes):
+            flat = np.add.outer(flat * size, self._axis_nodes(a, self.anchor[a], self.nnodes))
         return np.unique(flat)
 
-    def annuli(self) -> list:
-        """S_0 = Q and S_i = 2^i Q minus 2^(i-1) Q (possibly empty), up to the
-        first i where 2^i Q covers the grid or 2^i exceeds 4 max(sizes)."""
-        sets = [self.node_set(0)]
-        cap = 4 * max(self.grid.sizes)
-        while sets[-1].size < self.grid.n_nodes and 2 ** (len(sets) - 1) <= cap:
-            sets.append(self.node_set(len(sets)))
-        return sets[:1] + [
-            np.setdiff1d(outer, inner, assume_unique=True)
-            for inner, outer in zip(sets, sets[1:])
-        ]
+    def annulus_labels(self) -> np.ndarray:
+        """Per node, the i of the annulus S_i = 2^i Q minus 2^(i-1) Q (S_0 = Q)
+        that holds it, up to the first i where 2^i Q covers the grid or 2^i
+        exceeds 4 max(sizes); one more for a node no annulus holds (left only
+        by a Dirichlet cube far off the grid).  2^i Q is a product of nested
+        per-axis ranges, so a node's label is the largest over the axes of
+        the first dilation whose range holds its coordinate."""
+        m, sizes = self.nnodes, self.grid.sizes
+        first = [np.full(s, -1) for s in sizes]
+        i = 0
+        while True:
+            count = m * 2**i
+            for a, lab in enumerate(first):
+                idx = self._axis_nodes(a, self.anchor[a] - (count - m) // 2, count)
+                lab[idx[lab[idx] < 0]] = i
+            if 2**i > 4 * max(sizes) or min(lab.min() for lab in first) >= 0:
+                break
+            i += 1
+        labels = np.zeros((), dtype=int)
+        for lab in first:
+            labels = np.maximum.outer(labels, np.where(lab < 0, i + 1, lab))
+        return labels.ravel()
 
 
 def full_grid_cube(grid: Grid) -> Cube:

@@ -287,6 +287,9 @@ def test_non_dyadic_decompose_grid_is_config_error(tmp_path, capsys):
         ("assemble", {"coefficients": {"kind": "random", "lam": math.nan}}),
         ("assemble", {"coefficients": {"kind": "random", "Lam": math.inf}}),
         ("carleson", {"times": {"t_max": 1e200}}),
+        ("assemble", {"times": {"t_max": "abc"}}),
+        ("bmo", {"times": {"count": 3}}),
+        ("carleson", {"grid": {"sizes": [16], "spacing": 1e200}}),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, command, extra):

@@ -26,9 +26,12 @@ from hardy_lab.decomposition import (
     WHITNEY_C2,
     DegenerateFieldError,
     SupportError,
+    _annular_table,
     dist_to_complement,
+    molecule_bound,
     reproduction_times,
 )
+from hardy_lab.grid import restricted_lp_norm
 
 
 def bump_field(grid, center=0.5, width=0.2):
@@ -53,7 +56,7 @@ def test_calderon_constant_value():
 def test_whitney_is_a_partition(grid1d):
     open_set = np.arange(10, 40)
     cubes = whitney_decompose(open_set, grid1d)
-    covered = np.concatenate([c.node_set(0) for c in cubes])
+    covered = np.concatenate([c.node_set() for c in cubes])
     assert sorted(covered) == sorted(open_set)
     assert len(covered) == len(set(covered))
 
@@ -64,7 +67,7 @@ def test_whitney_distance_comparability(grid1d):
     for cube in whitney_decompose(open_set, grid1d):
         if cube.nnodes == 1:
             continue
-        d = dist[cube.node_set(0)].min()
+        d = dist[cube.node_set()].min()
         assert cube.sidelength <= WHITNEY_C2 * d + 1e-12
 
 
@@ -118,7 +121,7 @@ def test_tent_labels_match_the_per_cube_masks(sizes, boundary):
     for k in levels[:-1]:
         for j, cube in enumerate(whitney_decompose(expanded[k], grid)):
             in_cube = np.zeros((grid.n_nodes, 1), dtype=bool)
-            in_cube[cube.node_set(0)] = True
+            in_cube[cube.node_set()] = True
             mask = in_cube & (d[k] >= ts) & ~(d[k + 1] >= ts)
             if mask.any():
                 expected.append((k, j, calderon_constant(1) * 2.0**k * cube.volume, cube))
@@ -183,19 +186,81 @@ def test_decompose_validates_molecules(op1d, grid1d):
     dec = molecular_decompose(f, op1d, M=1, times=decomposition_times(op1d))
     assert dec.terms
     reports = [validate_molecule(t.molecule, op1d) for t in dec.terms]
-    assert all(rep.checks for rep in reports)
-    assert max(1.0, *(rep.max_ratio for rep in reports)) > 0
+    assert all(math.isfinite(rep.max_ratio) and rep.max_ratio > 0 for rep in reports)
 
 
 def test_make_molecule_validates(op1d, grid1d):
     cube = Cube(grid1d, (12,), 8)
     seed = np.zeros(64, dtype=complex)
-    seed[cube.node_set(0)] = 1.0
+    seed[cube.node_set()] = 1.0
     seed *= cube.volume ** (-0.5) / (lp_norm(seed, grid1d, 2) * (1 + 1e-9))
     mol = make_molecule(ScalarField(seed, grid1d), cube, op1d, M=1)
     rep = validate_molecule(mol, op1d)
     assert rep.passes
     assert rep.max_ratio <= 1.0 + 1e-9
+
+
+def _annulus_by_annulus(values, cube, op, p, eps, M):
+    # the decay table one annulus and one power at a time, as max_ratio and passes
+    grid = op.grid
+    labels = cube.annulus_labels()
+    ratios = []
+    g = values
+    for k in range(M + 1):
+        if k > 0:
+            g = semigroup.neg_power_apply(op, 1, ScalarField(g, grid)).values / cube.sidelength**2
+        for i in range(labels.max() + 1):
+            nodes = np.flatnonzero(labels == i)
+            if nodes.size:
+                measured = restricted_lp_norm(g, grid, nodes, p)
+                ratios.append(measured / molecule_bound(i, grid, p, eps, cube))
+    return max(ratios), all(r <= 1.0 + 1e-9 for r in ratios)
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5, math.inf])
+@pytest.mark.parametrize(
+    "sizes, boundary, anchor, nnodes",
+    [
+        ((64,), "periodic", (61,), 4),  # wraps the axis
+        ((64,), "periodic", (12,), 8),
+        ((16, 16), "dirichlet", (2, 10), 4),
+        ((16, 16), "periodic", (14, 6), 4),  # wraps the first axis
+    ],
+)
+def test_annular_table_matches_the_annulus_walk(sizes, boundary, anchor, nnodes, p):
+    grid = Grid(len(sizes), sizes, 1.0 / max(sizes), boundary)
+    op = assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, seed=1))
+    cube = Cube(grid, anchor, nnodes)
+    seed = np.zeros(grid.n_nodes, dtype=complex)
+    seed[cube.node_set()] = np.linspace(1.0, 2.0, cube.node_set().size)
+    seed *= cube.volume ** (-0.5) / (lp_norm(seed, grid, 2) * (1 + 1e-9))
+    mol = make_molecule(ScalarField(seed, grid), cube, op, M=2, p=p)
+    rng = np.random.default_rng(0)
+    noise = rng.normal(size=grid.n_nodes) + 0j
+    noise -= noise.mean()
+    # a molecule passes, noise does not
+    for values, passes in ((mol.field.values, True), (noise, False)):
+        rep = _annular_table(values, cube, op, p, 1.0, 2)
+        want, want_passes = _annulus_by_annulus(values, cube, op, p, 1.0, 2)
+        assert abs(rep.max_ratio - want) <= 1e-14 * want
+        assert rep.passes == want_passes == passes
+
+
+def test_corpus_seeds_peak_at_their_cube_center(monkeypatch, op1d):
+    # on cubes that wrap the periodic axis too, whose node coordinates do not
+    # average to the center
+    seeds = []
+    monkeypatch.setattr(
+        decomposition, "make_molecule", lambda f, cube, *args: seeds.append((f.values.real, cube))
+    )
+    molecule_corpus(op1d, 20, 7)
+    wrapping = 0
+    for v, cube in seeds:
+        nodes = (cube.anchor[0] + np.arange(cube.nnodes)) % 64
+        center = nodes[[cube.nnodes // 2 - 1, cube.nnodes // 2]]
+        assert v[center].min() > 2 * v[nodes].min()
+        wrapping += cube.anchor[0] + cube.nnodes > 64
+    assert wrapping
 
 
 def test_make_molecule_rejects_outside_support(op1d, grid1d):
@@ -208,7 +273,7 @@ def test_make_molecule_rejects_outside_support(op1d, grid1d):
 def test_make_molecule_rejects_oversized_seed(op1d, grid1d):
     cube = Cube(grid1d, (12,), 8)
     seed = np.zeros(64, dtype=complex)
-    seed[cube.node_set(0)] = 100.0
+    seed[cube.node_set()] = 100.0
     with pytest.raises(ValueError):
         make_molecule(ScalarField(seed, grid1d), cube, op1d, M=1)
 

@@ -168,22 +168,72 @@ def test_lp_norm_scaling(grid1d):
 
 def test_cube_node_set_wraps(grid1d):
     c = Cube(grid1d, (62,), 4)
-    assert sorted(c.node_set(0)) == [0, 1, 62, 63]
+    assert sorted(c.node_set()) == [0, 1, 62, 63]
 
 
 def test_cube_dilation_and_annuli(grid1d):
     c = Cube(grid1d, (30,), 4)
-    inner = set(c.node_set(0))
-    first = set(c.node_set(1))
+    labels = c.annulus_labels()
+    inner = set(c.node_set())
+    first = set(Cube(grid1d, (28,), 8).node_set())  # 2Q: same center, twice the side
     assert inner < first
-    ann = set(c.annuli()[1])
-    assert ann == first - inner
-    assert not ann & inner
+    assert set(np.flatnonzero(labels == 0)) == inner
+    assert set(np.flatnonzero(labels == 1)) == first - inner
+
+
+def _dilated_node_set(cube, dilation):
+    # the node set of 2^dilation Q, as the cube's annuli were built from
+    m = cube.nnodes
+    count = m * 2**dilation
+    per_axis = [
+        cube._axis_nodes(a, cube.anchor[a] - (count - m) // 2, count)
+        for a in range(cube.grid.dim)
+    ]
+    if any(ax.size == 0 for ax in per_axis):
+        return np.empty(0, dtype=int)
+    flat = per_axis[0]
+    for nodes, size in zip(per_axis[1:], cube.grid.sizes[1:]):
+        flat = (flat[:, None] * size + nodes[None, :]).ravel()
+    return np.unique(flat)
+
+
+def _reference_annuli(cube):
+    sets = [_dilated_node_set(cube, 0)]
+    cap = 4 * max(cube.grid.sizes)
+    while sets[-1].size < cube.grid.n_nodes and 2 ** (len(sets) - 1) <= cap:
+        sets.append(_dilated_node_set(cube, len(sets)))
+    return sets[:1] + [
+        np.setdiff1d(outer, inner, assume_unique=True) for inner, outer in zip(sets, sets[1:])
+    ]
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("sizes", [(64,), (37,), (16, 16), (20, 12), (8, 8), (9, 31)])
+def test_annulus_labels_match_the_dilated_node_sets(sizes, boundary):
+    grid = Grid(len(sizes), sizes, 1.0 / max(sizes), boundary)
+    rng = np.random.default_rng(sum(sizes))
+    for draw in range(50):
+        m = int(rng.integers(1, min(sizes) + 1))
+        # anchors from a cube's width before the grid to past its end: cubes
+        # that wrap a periodic axis or lose nodes to a Dirichlet edge; then
+        # some far off the grid, which leave Dirichlet nodes outside every annulus
+        far = 3 if draw >= 40 else 0
+        anchor = tuple(int(rng.integers(-m - far * s, s + 2 + far * s)) for s in sizes)
+        cube = Cube(grid, anchor, m)
+        labels = cube.annulus_labels()
+        annuli = _reference_annuli(cube)
+        held = np.zeros(grid.n_nodes, dtype=bool)
+        for i, nodes in enumerate(annuli):
+            assert np.array_equal(np.flatnonzero(labels == i), nodes)
+            held[nodes] = True
+        assert np.array_equal(labels == len(annuli), ~held)
+        if far == 0:
+            assert held.all()
 
 
 def test_full_grid_cube_covers_everything(grid2d):
     c = full_grid_cube(grid2d)
-    assert c.node_set(0).size == grid2d.n_nodes
+    assert c.node_set().size == grid2d.n_nodes
 
 
 def test_cube_volume(grid2d):
