@@ -72,6 +72,8 @@ class AssertionFailure(RuntimeError):
 
 
 def _number(label: str, value, kind=float):
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{label}: not an integer: {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -108,7 +110,7 @@ class ExperimentConfig:
             self.time_grid = TimeGrid(
                 float(times.get("t_min", base.t_min)),
                 float(times.get("t_max", base.t_max)),
-                int(times.get("count", base.count)),
+                _number("count", times.get("count", base.count), int),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"times: {exc}") from exc
@@ -164,7 +166,7 @@ class ExperimentConfig:
         try:
             if override is not None:
                 spec = dict(spec, sizes=override.lower().split("x"))
-            sizes = tuple(int(s) for s in spec.get("sizes", (64,)))
+            sizes = tuple(_number("sizes", s, int) for s in spec.get("sizes", (64,)))
             spacing = float(spec.get("spacing", 1.0 / max(sizes)))
             return Grid(len(sizes), sizes, spacing, str(spec.get("boundary", "periodic")))
         except (TypeError, ValueError) as exc:

@@ -20,18 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    PERIODIC,
-    Cube,
-    Grid,
-    GridError,
-    ScalarField,
-    full_grid_cube,
-    lp_norm,
-)
+from .grid import PERIODIC, Cube, Grid, GridError, ScalarField, lp_norm
 from .operator import DiscreteOperator
 from . import semigroup
-from .functionals import ConeSpec, SpaceTimeField, cone_integrate, hl_maximal
+from .functionals import ConeSpec, SpaceTimeField, _hl_maximal_block, cone_integrate
 from .semigroup import TimeGrid
 
 WHITNEY_C2 = 0.5
@@ -101,15 +93,16 @@ def _require_dyadic(grid: Grid):
 
 def density_expansion(O: np.ndarray, gamma: float, grid: Grid) -> np.ndarray:
     """Nodes where the maximal function of the indicator of O exceeds 1 - gamma."""
+    ind = np.zeros((grid.n_nodes, 1))
+    ind[np.asarray(O, dtype=int)] = 1.0
+    return np.flatnonzero(_expanded(ind, gamma, grid))
+
+
+def _expanded(indicators: np.ndarray, gamma: float, grid: Grid) -> np.ndarray:
+    """Density expansion of K sets at once from their (N, K) indicators."""
     if not 0 < gamma < 1:
         raise ValueError("need 0 < gamma < 1")
-    O = np.asarray(O, dtype=int)
-    if O.size == 0:
-        return O.copy()
-    ind = np.zeros(grid.n_nodes, dtype=complex)
-    ind[O] = 1.0
-    m = hl_maximal(ScalarField(ind, grid)).values.real
-    return np.nonzero(m > 1.0 - gamma)[0]
+    return _hl_maximal_block(grid, indicators) > 1.0 - gamma
 
 
 def dist_to_complement(grid: Grid, node_set: np.ndarray) -> np.ndarray:
@@ -145,37 +138,35 @@ def whitney_decompose(open_set: np.ndarray, grid: Grid) -> list:
     floor).  The cubes partition the set, so they do not overlap.
     """
     _require_dyadic(grid)
-    open_set = np.unique(np.asarray(open_set, dtype=int))
-    if open_set.size == 0:
-        return []
-    if open_set.size == grid.n_nodes:
-        return [full_grid_cube(grid)]
-    in_open = np.zeros(grid.n_nodes, dtype=bool)
-    in_open[open_set] = True
-    dist = dist_to_complement(grid, open_set)
+    return _whitney(dist_to_complement(grid, open_set), grid)[0]
+
+
+def _whitney(dist: np.ndarray, grid: Grid) -> tuple:
+    """(cubes, index): the Whitney cubes of the set where ``dist``, the
+    distance to its complement, is positive, and per node the index of its
+    cube or -1.
+
+    The blocks of m nodes per axis are a reshape of the lattice, for m = n,
+    n/2, ..., 1; a block is a cube when it lies in the set, meets the
+    comparison and holds no node of a larger cube, so the cubes come out in
+    the order (-nnodes, anchor)."""
+    n, d = grid.sizes[0], grid.dim
+    axes = tuple(range(1, 2 * d, 2))
+    index = np.full(grid.sizes, -1)
     cubes: list[Cube] = []
-    stack = [Cube(grid, (0,) * grid.dim, grid.sizes[0])]
-    while stack:
-        cube = stack.pop()
-        nodes = cube.node_set()
-        inside = in_open[nodes]
-        if not inside.any():
-            continue
-        if inside.all():
-            d = float(dist[nodes].min())
-            if cube.nnodes == 1 or cube.sidelength <= WHITNEY_C2 * d:
-                cubes.append(cube)
-                continue
-        if cube.nnodes == 1:
-            continue
-        half = cube.nnodes // 2
-        for corner in np.ndindex(*(2,) * grid.dim):
-            anchor = tuple(
-                cube.anchor[a] + corner[a] * half for a in range(grid.dim)
-            )
-            stack.append(Cube(grid, anchor, half))
-    cubes.sort(key=lambda c: (-c.nnodes, c.anchor))
-    return cubes
+    m = n
+    while m:
+        shape, spread = (n // m, m) * d, (n // m, 1) * d
+        blocks = index.reshape(shape)  # a view: writes land in index
+        least = dist.reshape(shape).min(axis=axes)
+        # a block with a node outside the set has least = 0, which fails both tests
+        fits = least > 0 if m == 1 else m * grid.spacing <= WHITNEY_C2 * least
+        new = fits & (blocks < 0).all(axis=axes)
+        labels = len(cubes) - 1 + np.cumsum(new).reshape(new.shape)
+        np.copyto(blocks, labels.reshape(spread), where=new.reshape(spread))
+        cubes += [Cube(grid, tuple(a), m) for a in (np.argwhere(new) * m).tolist()]
+        m //= 2
+    return cubes, index.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +321,19 @@ def _tents(
     # (dist to its complement >= t) and outside the tent over O*_{k+1}.  The
     # maximal function is monotone in the set, so the expanded sets and their
     # tents are nested and these bands are disjoint: each (node, time) lies
-    # in at most one tent.
+    # in at most one tent.  A band lies inside O*_k, since t > 0.
     levels = range(kmin, kmax + 2)
-    expanded = {k: density_expansion(np.nonzero(s > 2.0**k)[0], gamma, grid) for k in levels}
-    tent_over = {k: dist_to_complement(grid, o)[:, None] >= times.samples for k, o in expanded.items()}
+    expanded = _expanded((s[:, None] > 2.0 ** np.array(levels)).astype(float), gamma, grid)
+    dist = [dist_to_complement(grid, np.flatnonzero(o)) for o in expanded.T]
+    tent_over = [d[:, None] >= times.samples for d in dist]
     tents = []
-    for k in levels[:-1]:
-        band = tent_over[k] & ~tent_over[k + 1]
-        for j, cube in enumerate(whitney_decompose(expanded[k], grid)):
-            nodes = cube.node_set()
-            inside = band[nodes]
-            if inside.any():
-                labels[nodes] = np.where(inside, len(tents), labels[nodes])
-                tents.append((k, j, c_m * 2.0**k * cube.volume, cube))
+    for i, k in enumerate(levels[:-1]):
+        cubes, index = _whitney(dist[i], grid)
+        node, jt = np.nonzero(tent_over[i] & ~tent_over[i + 1])
+        hit = np.zeros(len(cubes), dtype=bool)
+        hit[index[node]] = True
+        labels[node, jt] = len(tents) - 1 + np.cumsum(hit)[index[node]]
+        tents += [(k, j, c_m * 2.0**k * cubes[j].volume, cubes[j]) for j in np.flatnonzero(hit).tolist()]
     return v, u, s_h, labels, tents
 
 

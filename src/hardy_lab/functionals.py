@@ -122,10 +122,10 @@ def _ball_sums(grid: Grid, radii: np.ndarray, *columns: np.ndarray) -> list:
     return [s[tuple(map(slice, grid.sizes))].reshape(grid.n_nodes, -1) for s in sums]
 
 
-def _ball_means(grid: Grid, values: np.ndarray, radii: np.ndarray) -> np.ndarray:
+def _ball_means(grid: Grid, radii: np.ndarray, *columns: np.ndarray) -> list:
     """Means over the closed balls of ``_ball_sums``; each holds its center."""
-    sums, counts = _ball_sums(grid, radii, values, np.ones((grid.n_nodes, 1)))
-    return sums / np.rint(counts)
+    *sums, counts = _ball_sums(grid, radii, *columns, np.ones((grid.n_nodes, 1)))
+    return [s / np.rint(counts) for s in sums]
 
 
 def nontangential_max(
@@ -156,7 +156,7 @@ def nontangential_max(
     from scipy import ndimage
 
     grid = op.grid
-    means = _ball_means(grid, np.abs(prof) ** 2, beta * times.samples)
+    (means,) = _ball_means(grid, beta * times.samples, np.abs(prof) ** 2)
     # The open ball |x - y| < r is the union over row offsets k of boxes of
     # half-height k and the row's half-width.  Rows go farthest first, so a box
     # no wider than one taken lies inside it; wrap mode serves boxes wider than a torus.
@@ -176,13 +176,18 @@ def nontangential_max(
 
 def hl_maximal(f: ScalarField) -> ScalarField:
     """Hardy-Littlewood maximal function: the largest closed-ball mean of |f|
-    over every distinct offset length as radius, 64 radii at a time."""
-    grid = f.grid
+    over every distinct offset length as radius."""
+    return ScalarField(_hl_maximal_block(f.grid, np.abs(f.values)[:, None])[:, 0], f.grid)
+
+
+def _hl_maximal_block(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """``hl_maximal`` of K fields at once from their (N, K) absolute values,
+    64 radii at a time: one ball transform per chunk serves every column."""
     lengths = offset_lengths(grid)
     radii = np.unique(lengths[np.isfinite(lengths)])
-    a = np.abs(f.values)[:, None]
     chunks = np.split(radii, range(64, radii.size, 64))
-    return ScalarField(np.max([_ball_means(grid, a, r).max(axis=1) for r in chunks], axis=0), grid)
+    maxima = [[m.max(axis=1) for m in _ball_means(grid, r, *a.T[:, :, None])] for r in chunks]
+    return np.max(maxima, axis=0).T
 
 
 @dataclass(frozen=True)

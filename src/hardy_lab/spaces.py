@@ -240,7 +240,7 @@ def duality_pair(
         raise GridError("field grids do not match the operator")
     f = ScalarField(semigroup.mean_zero(op, f.values), grid)
     g = ScalarField(semigroup.mean_zero(op, g.values), grid)
-    times = times or _duality_time_grid(grid)
+    times = times or _duality_time_grid(grid, float(abs(op.matrix).sum(axis=1).max()))
     # L* comes from L's own calculus, so no second eigendecomposition
     prof_f = semigroup.calculus(op).adjoint().heat_profile(times.samples, f.values, M)
     prof_g = semigroup.heat_profile(op, g, times, K=1)
@@ -248,10 +248,16 @@ def duality_pair(
     return complex(duality_constant(M) * (integrand @ times.log_weights))
 
 
-def _duality_time_grid(grid: Grid) -> TimeGrid:
+def _duality_time_grid(grid: Grid, rho: float) -> TimeGrid:
     # wide window: the scalar profile must be integrated essentially over
-    # (0, inf) for every eigenvalue of L to recover the inner product
-    return TimeGrid(grid.spacing / 256.0, 8.0 * max(grid.side_lengths), 128)
+    # (0, inf) for every eigenvalue of L to recover the inner product.  The
+    # part below t_min grows like (t_min^2 rho)^{M+1}, rho >= |lambda| the
+    # largest absolute row sum of L, so stiff operators get a lower t_min
+    # and more nodes at the same log step.
+    floor, t_max = grid.spacing / 256.0, 8.0 * max(grid.side_lengths)
+    t_min = min(floor, 1.0 / (64.0 * math.sqrt(rho)))
+    count = 1 + math.ceil(127 * math.log(t_max / t_min) / math.log(t_max / floor))
+    return TimeGrid(t_min, t_max, count)
 
 
 @dataclass(frozen=True, eq=False)

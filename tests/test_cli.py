@@ -290,6 +290,9 @@ def test_non_dyadic_decompose_grid_is_config_error(tmp_path, capsys):
         ("assemble", {"times": {"t_max": "abc"}}),
         ("bmo", {"times": {"count": 3}}),
         ("carleson", {"grid": {"sizes": [16], "spacing": 1e200}}),
+        ("assemble", {"params": {"M": 1.9}}),
+        ("assemble", {"grid": {"sizes": [16.7, 16]}}),
+        ("bmo", {"times": {"count": 40.9}}),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, command, extra):

@@ -92,6 +92,51 @@ def test_dist_to_complement_matches_distance_matrix(grid):
     assert np.all(dist_to_complement(grid, np.arange(grid.n_nodes)) == np.inf)
 
 
+def walk_whitney(open_set, grid):
+    """Whitney cubes by a stack walk over the dyadic blocks: a block that
+    holds a node of the set is kept when it lies in the set and meets the
+    comparison, and split otherwise."""
+    in_open = np.zeros(grid.n_nodes, dtype=bool)
+    in_open[open_set] = True
+    dist = dist_to_complement(grid, open_set)
+    cubes = []
+    stack = [Cube(grid, (0,) * grid.dim, grid.sizes[0])]
+    while stack:
+        cube = stack.pop()
+        nodes = cube.node_set()
+        inside = in_open[nodes]
+        if not inside.any():
+            continue
+        if inside.all():
+            if cube.nnodes == 1 or cube.sidelength <= WHITNEY_C2 * float(dist[nodes].min()):
+                cubes.append(cube)
+                continue
+        half = cube.nnodes // 2
+        for corner in np.ndindex(*(2,) * grid.dim):
+            stack.append(Cube(grid, tuple(a + c * half for a, c in zip(cube.anchor, corner)), half))
+    cubes.sort(key=lambda c: (-c.nnodes, c.anchor))
+    return cubes
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("sizes", [(8,), (32,), (128,), (8, 8), (32, 32), (128, 128)], ids=str)
+def test_whitney_matches_the_stack_walk(sizes, boundary):
+    grid = Grid(len(sizes), sizes, 1.0 / sizes[0], boundary)
+    rng = np.random.default_rng(grid.n_nodes)
+    # smoothed noise, so the level sets hold runs and blobs of every size
+    noise = rng.random(sizes)
+    for a in range(grid.dim):
+        noise = sum(np.roll(noise, r, axis=a) for r in range(-2, 3))
+    noise = noise.ravel()
+    sets = [np.array([], dtype=int), np.arange(grid.n_nodes)]
+    sets += [np.flatnonzero(noise < np.quantile(noise, q)) for q in (0.05, 0.3, 0.6, 0.9, 0.99)]
+    sets += [np.flatnonzero(rng.random(grid.n_nodes) < 0.7)]
+    for open_set in sets:
+        cubes = whitney_decompose(open_set, grid)
+        assert cubes == walk_whitney(open_set, grid)
+        assert sum(c.nnodes**grid.dim for c in cubes) == open_set.size
+
+
 def test_whitney_full_grid_special_case(grid1d):
     cubes = whitney_decompose(np.arange(64), grid1d)
     assert len(cubes) == 1

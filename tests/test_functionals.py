@@ -21,6 +21,7 @@ from hardy_lab import (
     vertical_square_function,
 )
 from hardy_lab import Grid, assemble_operator, random_elliptic_coefficients, semigroup
+from hardy_lab.functionals import _hl_maximal_block
 from hardy_lab.oracle_suite import _brute_hl, _brute_nontangential, _brute_square
 
 TIMES = TimeGrid(1.0 / 256, 2.0, 16)
@@ -157,6 +158,19 @@ def test_maximal_matches_brute_force_2d_at_every_scale(grid, beta, monkeypatch):
 def test_hl_matches_brute_force_2d(grid):
     f = random_field(grid, seed=5)
     assert_close(hl_maximal(f).values, nxn_hl(f))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    GRIDS_2D + [Grid(2, (16, 16), 1.0 / 16), Grid(1, (37,), 1.0 / 37, "dirichlet")],
+    ids=GRID_IDS + ["16x16-periodic", "37-dirichlet"],
+)
+def test_hl_block_matches_each_column(grid):
+    # nested level sets of one field, the last one empty, as the tent stage passes them
+    s = np.abs(random_field(grid, seed=6).values)
+    indicators = (s[:, None] > np.quantile(s, [0.0, 0.2, 0.5, 0.8, 0.95, 1.0])).astype(float)
+    per_column = [hl_maximal(ScalarField(c, grid)).values.real for c in indicators.T]
+    assert np.array_equal(_hl_maximal_block(grid, indicators), np.stack(per_column, axis=1))
 
 
 def test_hl_dominates_pointwise(field1d):

@@ -180,6 +180,16 @@ def test_duality_pair_recovers_inner_product(op1d_random, grid1d):
     assert abs(got - direct) <= 1e-6 * abs(direct)
 
 
+def test_duality_pair_recovers_inner_product_on_a_stiff_operator(grid2d):
+    # rho h^2 = 266 (8 for the identity): the time window must reach below h/256
+    op = assemble_operator(grid2d, random_elliptic_coefficients(grid2d, 0.5, 50.0, seed=1))
+    f = mean_zero_field(grid2d, seed=21)
+    g = mean_zero_field(grid2d, seed=22)
+    direct = complex((f.values * np.conj(g.values)).sum() * grid2d.cell_volume)
+    got = duality_pair(f, g, op, M=1)
+    assert abs(got - direct) <= 1e-6 * abs(direct)
+
+
 def test_duality_pair_builds_one_eigendecomposition(monkeypatch, grid1d):
     # a fresh operator: L* must come from L's eigenbasis, not a second eig
     op = assemble_operator(grid1d, random_elliptic_coefficients(grid1d, 0.5, 2.0, seed=4))
