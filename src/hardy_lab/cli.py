@@ -72,6 +72,9 @@ class AssertionFailure(RuntimeError):
 
 
 def _number(label: str, value, kind=float):
+    # JSON true and false are Python bools, which int() and float() take as 1 and 0
+    if isinstance(value, bool):
+        raise ConfigError(f"{label}: not a number: {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{label}: not an integer: {value!r}")
     try:
@@ -108,8 +111,8 @@ class ExperimentConfig:
         try:
             base = semigroup.default_time_grid(self.grid)
             self.time_grid = TimeGrid(
-                float(times.get("t_min", base.t_min)),
-                float(times.get("t_max", base.t_max)),
+                _number("t_min", times.get("t_min", base.t_min)),
+                _number("t_max", times.get("t_max", base.t_max)),
                 _number("count", times.get("count", base.count), int),
             )
         except (TypeError, ValueError, OverflowError) as exc:
@@ -167,7 +170,7 @@ class ExperimentConfig:
             if override is not None:
                 spec = dict(spec, sizes=override.lower().split("x"))
             sizes = tuple(_number("sizes", s, int) for s in spec.get("sizes", (64,)))
-            spacing = float(spec.get("spacing", 1.0 / max(sizes)))
+            spacing = _number("spacing", spec.get("spacing", 1.0 / max(sizes)))
             return Grid(len(sizes), sizes, spacing, str(spec.get("boundary", "periodic")))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"grid: {exc}") from exc

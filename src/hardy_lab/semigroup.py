@@ -3,8 +3,9 @@ negative powers, and measured off-diagonal decay profiles.
 
 Every operator is served by one functional calculus, built once and cached
 by `calculus(op)`.  The rule is: up to AUTO_DENSE_MAX nodes, eigendecompose
-L and keep the eigenbasis if it reconstructs a full matrix exponential to
-1e-10 (`DenseCalculus`); above that size, or when the check fails, use
+L and keep the eigenbasis if a certified bound on its error in
+reconstructing a full matrix exponential is below 1e-10 (`DenseCalculus`,
+`_reconstruction_error`); above that size, or when the check fails, use
 sparse exponential actions and direct sparse solves (`KrylovCalculus`).
 The size rule picks the solver with the backend: `KrylovCalculus` solves
 resolvents and negative powers by sparse LU, `DenseCalculus` reads them
@@ -265,16 +266,17 @@ class DenseCalculus(KrylovCalculus):
     and passes the check, and from `scipy.linalg.eig` otherwise, in which
     case it is stored after passing (see the module docstring).  Either
     way construction raises ConvergenceError unless the eigenbasis
-    reconstructs e^{-t0 L} to 1e-10 in the Frobenius norm, against a
-    Taylor series of the sparse L (`_reconstruction_error`), so every
+    reconstructs e^{-t0 L} to 1e-10 in the relative Frobenius norm, as
+    certified by an upper bound on that error from the residuals
+    L V - V W and V V^{-1} - I (`_reconstruction_error`), so every
     instance has passed the check in its own process.  `source` says
     where the basis came from ("built" or "cache"), next to
-    `reconstruction_error` and `cache_key`.  V, V^{-1} and w are the only
-    N x N state.  Functions of L are evaluated on the eigenvalues, and so
-    are resolvents and negative powers, each followed by one refinement
-    step against the sparse L that keeps it as accurate as an LU solve
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    2002, ch. 12).
+    `reconstruction_error` (that bound) and `cache_key`.  V, V^{-1} and w
+    are the only N x N state.  Functions of L are evaluated on the
+    eigenvalues, and so are resolvents and negative powers, each followed
+    by one refinement step against the sparse L that keeps it as accurate
+    as an LU solve (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, ch. 12).
     """
 
     # an adjoint holds transposed views of V and V^{-1} and conjugates
@@ -504,53 +506,48 @@ _CHECK_BLOCK = 64
 def _reconstruction_error(
     matrix: sp.spmatrix, w: np.ndarray, v: np.ndarray, vinv: np.ndarray
 ) -> float:
-    """||V e^{-t0 w} V^{-1} - e^{-t0 L}||_F / ||e^{-t0 L}||_F, t0 = 1/(max|w| + 1).
+    """An upper bound on ||X - R||_F / ||R||_F, where X = V e^{-t0 W} V^{-1},
+    R = e^{-t0 L}, W = diag(w) and t0 = 1/(max|w| + 1).
 
-    All N columns are compared, _CHECK_BLOCK at a time, and the squared
-    norms summed.  The reference columns e^{-t0 L} e_j are a Taylor series
-    of the sparse L in s steps of 1-norm eta = ||t0 L||_1 / s, s the least
-    with eta <= 2, so no summed term exceeds e^eta.  Each step is the
-    polynomial of the first m terms, m the least with remainder bound
-    e^eta eta^m / m! <= 1e-16 (after Al-Mohy & Higham, SIAM J. Sci. Comput.
-    33, 2011), evaluated in Horner form: m - 1 sparse products a step.
-    Horner's 1/k is folded into the sparse factor (one copy of its data,
-    rescaled for each k), and the first step adds its identity start on
-    the block's diagonal only, so only a later step's start is added over
-    the whole block.  On the 32x32 perfbench operator
-    ||t0 L||_1 = 1.24 gives one step of m = 21.
+    The bound is certified by the residuals E1 = L V - V W and
+    E2 = V V^{-1} - I.  Duhamel's formula (Higham, Functions of Matrices,
+    SIAM 2008, sec. 10.1)
+
+        V e^{-t0 W} - R V = int_0^t0 e^{-(t0 - s) L} E1 e^{-s W} ds
+
+    and X - R = (V e^{-t0 W} - R V) V^{-1} + R E2 give
+
+        ||X - R||_F <= t0 a b ||E1||_F ||V^{-1}||_F + a ||E2||_F,
+        ||R||_F >= sqrt(N) e^{-t0 ||L||_2},  ||L||_2 <= sqrt(||L||_1 ||L||_inf),
+
+    with a = e^{t0 max(0, -mu)} >= sup_{s <= t0} ||e^{-s L}||_2, since
+    ||e^{-s L}||_2 <= e^{-s mu} for mu a lower bound on the spectrum of the
+    Hermitian part (L + L^H)/2, here by Gershgorin, and
+    b = e^{t0 max(0, -min Re w)}.  So the bound is never below the error it
+    bounds.  The residuals are summed over all N columns, _CHECK_BLOCK at a
+    time: one sparse product and one N x N x _CHECK_BLOCK product a block.
     """
-    n = w.size
     t0 = 1.0 / (float(np.abs(w).max()) + 1.0)
-    norm1 = t0 * float(abs(matrix).sum(axis=0).max())
-    steps = max(1, math.ceil(norm1 / 2.0))
-    eta = norm1 / steps
-    m, bound = 0, math.exp(eta)
-    while bound > 1e-16:
-        m += 1
-        bound *= eta / m
-    step = (-t0 / steps) * matrix
-    scaled = step.copy()  # step / k for the current Horner term k
-    decay = np.exp(-t0 * w)[:, None]
-    diff2 = ref2 = 0.0
-    for lo in range(0, n, _CHECK_BLOCK):
-        hi = min(lo + _CHECK_BLOCK, n)
-        diag = (np.arange(lo, hi), np.arange(hi - lo))
-        ref = np.zeros((n, hi - lo), dtype=complex)
-        ref[diag] = 1.0
-        for i in range(steps):
-            start = ref
-            # sum_{k<m} step^k start / k! = start + (step/1)(start + (step/2)(start + ...))
-            for k in range(m - 1, 0, -1):
-                np.divide(step.data, k, out=scaled.data)
-                ref = scaled @ ref
-                if i:
-                    ref += start
-                else:
-                    ref[diag] += 1.0
-        rec = v @ (decay * vinv[:, lo:hi])
-        diff2 += float(np.linalg.norm(rec - ref)) ** 2
-        ref2 += float(np.linalg.norm(ref)) ** 2
-    return math.sqrt(diff2 / max(ref2, 1e-300))
+    absolute = abs(matrix)
+    norm2 = math.sqrt(float(absolute.sum(axis=0).max()) * float(absolute.sum(axis=1).max()))
+    herm = (matrix + matrix.conj().T) / 2
+    centre = herm.diagonal().real
+    radius = np.asarray(abs(herm).sum(axis=1)).ravel() - np.abs(centre)
+    mu = float((centre - radius).min())
+    # log of a / e^{-t0 ||L||_2}; t0 |w| < 1 keeps b below e
+    growth = t0 * (max(0.0, -mu) + norm2)
+    b = math.exp(t0 * max(0.0, -float(w.real.min())))
+    e1 = e2 = 0.0
+    for lo in range(0, w.size, _CHECK_BLOCK):
+        hi = min(lo + _CHECK_BLOCK, w.size)
+        block = v[:, lo:hi]
+        e1 += float(np.linalg.norm(matrix @ block - block * w[lo:hi])) ** 2
+        prod = v @ vinv[:, lo:hi]
+        prod[np.arange(lo, hi), np.arange(hi - lo)] -= 1.0
+        e2 += float(np.linalg.norm(prod)) ** 2
+    err = t0 * b * math.sqrt(e1 * np.vdot(vinv, vinv).real) + math.sqrt(e2)
+    # past e^700 the factor overflows, and no roundoff-level residual passes
+    return math.inf if growth > 700 else err * math.exp(growth) / math.sqrt(w.size)
 
 
 def _pin_kernel(w: np.ndarray, kernel_dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -293,6 +293,11 @@ def test_non_dyadic_decompose_grid_is_config_error(tmp_path, capsys):
         ("assemble", {"params": {"M": 1.9}}),
         ("assemble", {"grid": {"sizes": [16.7, 16]}}),
         ("bmo", {"times": {"count": 40.9}}),
+        ("validate", {"corpus": {"count": True}}),
+        ("validate", {"params": {"M": True}}),
+        ("assemble", {"coefficients": {"kind": "random", "lam": True}}),
+        ("assemble", {"times": {"t_min": True}}),
+        ("assemble", {"grid": {"sizes": [16], "spacing": True}}),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, command, extra):

@@ -63,8 +63,10 @@ def test_hit_serves_the_built_basis_exactly(eigenbasis_cache, grid2d, field2d):
         ),
         lambda path, n: write_entry(path, [np.ones(n), np.eye(n), np.eye(n)]),
         lambda path, n: path.write_bytes(b""),
+        # well formed, but t0 = 1 puts the certificate's e^{t0 ||L||} far past overflow
+        lambda path, n: write_entry(path, [np.zeros(n, complex), np.eye(n, dtype=complex), np.eye(n, dtype=complex)]),
     ],
-    ids=["truncated", "garbage", "wrong-shape", "wrong-dtype", "empty"],
+    ids=["truncated", "garbage", "wrong-shape", "wrong-dtype", "empty", "zero-eigenvalues"],
 )
 def test_bad_entry_is_rebuilt_and_replaced(eigenbasis_cache, grid1d, damage):
     op = random_op(grid1d)

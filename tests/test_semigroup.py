@@ -138,38 +138,39 @@ def test_failed_eigenbasis_check_selects_krylov(monkeypatch, grid1d, field1d):
     assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
-def dense_reconstruction_error(op, scale=1.0):
-    """The eigenbasis check written with N x N arrays: the dense expm of L
-    against the full reconstructed matrix, for eigenvalues scale * w."""
-    a = op.matrix.toarray()
-    w, v = scipy.linalg.eig(a)
-    w = scale * w
+def eigenbasis(op):
+    w, v = scipy.linalg.eig(op.matrix.toarray())
+    return w, v, scipy.linalg.inv(v)
+
+
+def dense_reconstruction_error(op, w, v, vinv):
+    """The quantity the eigenbasis check bounds, written with N x N arrays:
+    V e^{-t0 w} V^{-1} against the dense expm of L."""
     t0 = 1.0 / (np.abs(w).max() + 1.0)
-    ref = scipy.linalg.expm(-t0 * a)
-    rec = (v * np.exp(-t0 * w)) @ scipy.linalg.inv(v)
-    return np.linalg.norm(rec - ref) / np.linalg.norm(ref), w, v
+    ref = scipy.linalg.expm(-t0 * op.matrix.toarray())
+    rec = (v * np.exp(-t0 * w)) @ vinv
+    return np.linalg.norm(rec - ref) / np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize(
-    "grid",
+    "grid, Lam",
     [
-        Grid(1, (64,), 1.0 / 64),
-        Grid(2, (16, 16), 1.0 / 16),
-        Grid(2, (12, 12), 1.0 / 13, DIRICHLET),
-        Grid(2, (10, 10), 1.0 / 10),
+        (Grid(1, (64,), 1.0 / 64), 2.0),
+        (Grid(2, (16, 16), 1.0 / 16), 2.0),
+        (Grid(2, (12, 12), 1.0 / 13, DIRICHLET), 2.0),
+        (Grid(2, (10, 10), 1.0 / 10), 2.0),
+        (Grid(2, (16, 16), 1.0 / 16), 50.0),
     ],
-    ids=["1d-64", "2d-16x16", "2d-12x12-dirichlet", "2d-10x10"],
+    ids=["1d-64", "2d-16x16", "2d-12x12-dirichlet", "2d-10x10", "2d-16x16-stiff"],
 )
-def test_blocked_reconstruction_error_matches_dense_expm(grid):
+def test_reconstruction_bound_brackets_dense_expm(grid, Lam):
     # 144 and 100 nodes leave a partial last block
-    op = assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, seed=1))
-    dense, w, v = dense_reconstruction_error(op)
-    blocked = semigroup._reconstruction_error(op.matrix, w, v, scipy.linalg.inv(v))
-    assert blocked < 1e-10 and dense < 1e-10
-    # the 1e-16 floor is one rounding of a unit-norm reference: where the
-    # error itself is a few ulp (1.7e-15 on the 1D grid) the two references'
-    # own roundoff moves it by ~1e-17
-    assert abs(blocked - dense) <= 1e-3 * dense + 1e-16
+    op = assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, Lam, seed=1))
+    basis = eigenbasis(op)
+    exact = dense_reconstruction_error(op, *basis)
+    bound = semigroup._reconstruction_error(op.matrix, *basis)
+    assert exact <= bound < 1e-10
+    assert bound <= 1e3 * exact + 1e-14
 
 
 @pytest.mark.parametrize(
@@ -177,16 +178,25 @@ def test_blocked_reconstruction_error_matches_dense_expm(grid):
     [Grid(1, (64,), 1.0 / 64), Grid(2, (12, 12), 1.0 / 13, DIRICHLET), Grid(2, (10, 10), 1.0 / 10)],
     ids=["1d-64", "2d-12x12-dirichlet", "2d-10x10"],
 )
-def test_multi_step_reconstruction_error_matches_dense_expm(grid):
-    # w / 4 makes t0 four times larger: ||t0 L||_1 ~ 5 needs three Taylor
-    # steps, and the check must report the O(1) error of e^{-t0 L / 4}
+def test_reconstruction_bound_exceeds_the_error_of_scaled_eigenvalues(grid):
+    # w / 4 reconstructs e^{-t0 L / 4}, an O(1) error the bound must not hide
     op = assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, seed=1))
-    dense, w, v = dense_reconstruction_error(op, scale=0.25)
-    t0 = 1.0 / (np.abs(w).max() + 1.0)
-    assert t0 * abs(op.matrix).sum(axis=0).max() > 4.0
-    blocked = semigroup._reconstruction_error(op.matrix, w, v, scipy.linalg.inv(v))
-    assert dense > 0.1
-    assert abs(blocked - dense) <= 1e-10 * dense
+    w, v, vinv = eigenbasis(op)
+    exact = dense_reconstruction_error(op, 0.25 * w, v, vinv)
+    bound = semigroup._reconstruction_error(op.matrix, 0.25 * w, v, vinv)
+    assert bound >= exact > 0.1
+
+
+@pytest.mark.parametrize("part", ["w", "v", "vinv"])
+def test_reconstruction_bound_rejects_a_perturbed_factor(grid2d, part):
+    # a perturbed w shows in L V - V W, a perturbed V^{-1} in V V^{-1} - I
+    op = assemble_operator(grid2d, random_elliptic_coefficients(grid2d, 0.5, 2.0, seed=1))
+    basis = dict(zip(("w", "v", "vinv"), eigenbasis(op)))
+    noise = np.random.default_rng(0).normal(size=basis[part].shape)
+    basis[part] = basis[part] + 1e-6 * noise
+    exact = dense_reconstruction_error(op, **basis)
+    bound = semigroup._reconstruction_error(op.matrix, **basis)
+    assert bound >= exact > 1e-10
 
 
 def test_dense_calculus_keeps_only_its_eigenbasis(grid2d):
