@@ -132,7 +132,10 @@ class ExperimentConfig:
         self.corpus_seed = _seed("corpus.seed", corpus.get("seed", 7))
         if overrides.seed is not None:
             self.corpus_seed = _seed("--seed", overrides.seed)
-        self.out = Path(overrides.out or obj.get("out", "reports"))
+        out = overrides.out or obj.get("out", "reports")
+        if not isinstance(out, str):
+            raise ConfigError(f"out: not a path: {out!r}")
+        self.out = Path(out)
         self.tolerances = dict(DEFAULT_TOLERANCES)
         for key, val in _section(obj, "tolerances").items():
             if key not in self.tolerances:
@@ -218,9 +221,6 @@ class ExperimentConfig:
         self.op = assemble_operator(self.grid, self.coefficients())
         return self.op
 
-    def times(self) -> TimeGrid:
-        return self.time_grid
-
     def decomposition_times(self, op: DiscreteOperator) -> TimeGrid:
         return decomposition.reproduction_times(op, self.time_grid.t_max, self.time_grid.count)
 
@@ -238,9 +238,9 @@ class ExperimentConfig:
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         try:
-            obj = json.loads(Path(args.config).read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {args.config}") from exc
+            obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     else:
@@ -313,7 +313,7 @@ def _h1_functionals(f: ScalarField, op: DiscreteOperator, times: TimeGrid) -> di
 
 def cmd_functional(cfg: ExperimentConfig) -> None:
     op = cfg.operator()
-    times = cfg.times()
+    times = cfg.time_grid
     coords = cfg.grid.coords()
     fields = cfg.fields(op)
     rows = []
@@ -488,7 +488,7 @@ def cmd_bmo(cfg: ExperimentConfig) -> None:
 
 def cmd_carleson(cfg: ExperimentConfig) -> None:
     op = cfg.operator()
-    times = cfg.times()
+    times = cfg.time_grid
     rows = []
     ratios = []
     for idx, f in enumerate(cfg.fields(op)):
@@ -554,7 +554,7 @@ EQUIVALENCE_QUANTITIES = ("h1_est", "s_h", "n_h", "s_p", "n_p")
 
 def cmd_equivalence(cfg: ExperimentConfig) -> None:
     op = cfg.operator()
-    times = cfg.times()
+    times = cfg.time_grid
     dec_times = cfg.decomposition_times(op)
     rows = []
     table = {q: [] for q in EQUIVALENCE_QUANTITIES}
@@ -667,7 +667,10 @@ def main(argv: list | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        cfg.out.mkdir(parents=True, exist_ok=True)
+        try:
+            cfg.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way, say
+            raise ConfigError(f"cannot make output directory {cfg.out}: {exc}") from exc
         started = time.time()
         try:
             COMMANDS[args.command](cfg)

@@ -51,31 +51,16 @@ def calderon_constant(M: int) -> float:
 def reproduction_times(
     op: DiscreteOperator, t_max: float | None = None, count: int = 64
 ) -> TimeGrid:
-    """The time grid on which `decompose` reproduces f from its profiles.
-
-    t_max defaults to four domain sides, the upper end of
-    `semigroup.default_time_grid`; `molecular_decompose` and
-    `h1_norm_estimate` use these defaults when given no times.
-
-    The reconstruction residual is mostly the part of the reproducing
-    integral below t_min, which grows with t_min^2 |lambda| over the
-    spectrum of L.  t_min is h/16, lowered to 1/(4 sqrt(rho)) on stiff
-    operators, where rho, the largest absolute row sum of L, bounds every
-    |lambda| (Gershgorin) without an eigendecomposition.
-
-    `count` nodes serve a spectrum within pi/4 of the positive axis.  In
-    log t the integrand (t^2 lambda)^K e^{-K t^2 lambda} is analytic and
-    bounded on a strip of half-width (pi/2 - |arg lambda|)/2, and the
-    trapezoid error decays like exp(-2 pi width / step).  So on a wider
-    sector (`op.sector`, which bounds |arg lambda|) the step shrinks in
-    proportion to the strip, keeping the exponent it has at pi/4.
+    """The window on which `decompose` reproduces f from its profiles: up
+    to t_max (four domain sides by default, the upper end of
+    `semigroup.default_time_grid`), with a tail of at most 1e-4, a tenth of
+    the residual tolerance of `decompose`.  The tail bound of
+    `semigroup.tail_window`, C_M x^{M+2} / (2(M+2)), is largest at M = 1
+    for the x this gives, so one window serves every M.
     """
-    rho = float(abs(op.matrix).sum(axis=1).max())
     if t_max is None:
         t_max = semigroup.default_time_grid(op.grid).t_max
-    if op.sector > math.pi / 4:
-        count = 1 + math.ceil((count - 1) * (math.pi / 4) / (math.pi / 2 - op.sector))
-    return TimeGrid(min(op.grid.spacing / 16.0, 0.25 / math.sqrt(rho)), t_max, count)
+    return semigroup.tail_window(op, 3, calderon_constant(1), 1e-4, t_max, count)
 
 
 def _require_dyadic(grid: Grid):

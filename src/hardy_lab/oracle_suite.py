@@ -336,8 +336,8 @@ def oracle_decomposition(ops) -> list:
     f = np.where(d < 0.2, np.cos(np.pi * d / 0.4) ** 2, 0.0) + 0j
     f -= f.mean()
     f /= lp_norm(f, grid, 2)
-    times = TimeGrid(grid.spacing / 16, 4.0, 64)
-    dec = decomposition.molecular_decompose(ScalarField(f, grid), op, M=1, times=times)
+    # on the default window, `reproduction_times`
+    dec = decomposition.molecular_decompose(ScalarField(f, grid), op, M=1)
     resid = lp_norm(dec.residual.values, grid, 2)
     out.append(
         OracleResult("decomposition.reconstruction.1d_identity", resid <= 1e-3, resid, 1e-3)

@@ -145,6 +145,30 @@ def default_time_grid(grid: Grid) -> TimeGrid:
     return TimeGrid(grid.spacing / 4.0, 4.0 * max(grid.side_lengths), 64)
 
 
+def tail_window(
+    op: DiscreteOperator, power: int, constant: float, tail: float, t_max: float, count: int
+) -> TimeGrid:
+    """The window up to t_max for an identity
+
+        constant * int_0^inf (t^2 lambda)^power e^{-b t^2 lambda} dt/t = 1   (b > 0)
+
+    whose part below t_min, at most constant x^power / (2 power) with
+    x = t_min^2 rho for Re lambda >= 0, is at most `tail`.  rho, the largest
+    absolute row sum of L, bounds every |lambda| (Gershgorin).
+
+    `count` nodes serve a spectrum within pi/4 of the positive axis.  In
+    log t the integrand is analytic on a strip of half-width
+    (pi/2 - |arg lambda|)/2 and the trapezoid error decays like
+    exp(-2 pi width / step), so on a wider sector (`op.sector` bounds
+    |arg lambda|) the step shrinks in proportion to the strip.
+    """
+    rho = float(abs(op.matrix).sum(axis=1).max())
+    x = (2 * power * tail / constant) ** (1.0 / power)
+    if op.sector > math.pi / 4:
+        count = 1 + math.ceil((count - 1) * (math.pi / 4) / (math.pi / 2 - op.sector))
+    return TimeGrid(math.sqrt(x / rho), t_max, count)
+
+
 # ---------------------------------------------------------------------------
 # functional calculus
 # ---------------------------------------------------------------------------

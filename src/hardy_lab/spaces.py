@@ -222,42 +222,28 @@ def duality_constant(M: int) -> float:
     return 2.0 ** (M + 2) / math.gamma(M + 1)
 
 
-def duality_pair(
-    f: ScalarField,
-    g: ScalarField,
-    op: DiscreteOperator,
-    M: int = 1,
-    times: TimeGrid | None = None,
-) -> complex:
+def duality_pair(f: ScalarField, g: ScalarField, op: DiscreteOperator, M: int = 1) -> complex:
     """<f, g> recovered from the two-sided square-function expansion
 
         C'_M int int (t^2 L*)^M e^{-t^2 L*} f . conj(t^2 L e^{-t^2 L} g) dx dt/t
 
-    which reduces on each eigenmode to the scalar identity fixing C'_M.
+    which reduces on each eigenmode to the scalar identity fixing C'_M.  Its
+    window (`semigroup.tail_window`) leaves a tail of that identity of at
+    most 1e-13, the error's scale relative to ||f|| ||g|| h^d.
     """
     grid = op.grid
     if f.grid != grid or g.grid != grid:
         raise GridError("field grids do not match the operator")
     f = ScalarField(semigroup.mean_zero(op, f.values), grid)
     g = ScalarField(semigroup.mean_zero(op, g.values), grid)
-    times = times or _duality_time_grid(grid, float(abs(op.matrix).sum(axis=1).max()))
+    times = semigroup.tail_window(
+        op, M + 1, duality_constant(M), 1e-13, 8.0 * max(grid.side_lengths), 128
+    )
     # L* comes from L's own calculus, so no second eigendecomposition
     prof_f = semigroup.calculus(op).adjoint().heat_profile(times.samples, f.values, M)
     prof_g = semigroup.heat_profile(op, g, times, K=1)
     integrand = (prof_f * np.conj(prof_g)).sum(axis=0) * grid.cell_volume
     return complex(duality_constant(M) * (integrand @ times.log_weights))
-
-
-def _duality_time_grid(grid: Grid, rho: float) -> TimeGrid:
-    # wide window: the scalar profile must be integrated essentially over
-    # (0, inf) for every eigenvalue of L to recover the inner product.  The
-    # part below t_min grows like (t_min^2 rho)^{M+1}, rho >= |lambda| the
-    # largest absolute row sum of L, so stiff operators get a lower t_min
-    # and more nodes at the same log step.
-    floor, t_max = grid.spacing / 256.0, 8.0 * max(grid.side_lengths)
-    t_min = min(floor, 1.0 / (64.0 * math.sqrt(rho)))
-    count = 1 + math.ceil(127 * math.log(t_max / t_min) / math.log(t_max / floor))
-    return TimeGrid(t_min, t_max, count)
 
 
 @dataclass(frozen=True, eq=False)

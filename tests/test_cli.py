@@ -298,12 +298,32 @@ def test_non_dyadic_decompose_grid_is_config_error(tmp_path, capsys):
         ("assemble", {"coefficients": {"kind": "random", "lam": True}}),
         ("assemble", {"times": {"t_min": True}}),
         ("assemble", {"grid": {"sizes": [16], "spacing": True}}),
+        ("report", {"out": 5}),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, command, extra):
     cfg = write_config(tmp_path, **extra)
     code = cli.main(command.split() + ["--config", str(cfg)])
     assert_one_line_config_error(capsys, code)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--out", "a_file"], "cannot make output directory a_file"),
+        (["--config", "."], "Is a directory"),
+        (["--config", "latin1.json"], "can't decode"),
+    ],
+    ids=["out-is-a-file", "config-is-a-directory", "config-not-utf8"],
+)
+def test_unusable_paths_are_config_errors(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "latin1.json").write_bytes('{"out": "r\u00e9sultats"}'.encode("latin-1"))
+    argv = args if "--config" in args else args + ["--config", "config.json"]
+    code = cli.main(["report"] + argv)
+    assert message in assert_one_line_config_error(capsys, code)
 
 
 def test_decompose_reproduces_on_a_stiff_operator(tmp_path):
@@ -315,6 +335,19 @@ def test_decompose_reproduces_on_a_stiff_operator(tmp_path):
         corpus={"kind": "standard", "count": 3, "seed": 0},
     )
     assert cli.main(["decompose", "--config", str(cfg)]) == cli.EXIT_OK
+
+
+def test_bmo_duality_check_holds_on_near_orthogonal_pairs(tmp_path):
+    # corpus seed 2946 draws a pair with |<f, g>| = 1.0e-3 ||f|| ||g|| h^d, so
+    # the 1e-6 relative check needs a window whose tail is far below 1e-9 of
+    # ||f|| ||g|| h^d
+    cfg = write_config(
+        tmp_path,
+        grid={"sizes": [16, 16]},
+        coefficients={"kind": "random", "seed": 1},
+        corpus={"count": 2, "seed": 2946},
+    )
+    assert cli.main(["bmo", "--config", str(cfg)]) == cli.EXIT_OK
 
 
 def test_cli_import_leaves_optional_scipy_modules_unloaded():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hardy_lab import Grid, assemble_operator, check_ellipticity, random_elliptic_coefficients
 from hardy_lab.grid import DIRICHLET, PERIODIC, CoefficientField, ScalarField
 from hardy_lab.decomposition import calderon_constant, reproduction_times
-from hardy_lab.semigroup import DenseCalculus, calculus, default_time_grid
-from hardy_lab.spaces import duality_pair
+from hardy_lab.semigroup import DenseCalculus, calculus, default_time_grid, tail_window
+from hardy_lab.spaces import duality_constant, duality_pair
 
 
 @st.composite
@@ -71,6 +71,7 @@ def test_accretivity_with_measured_lambda(pair, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(pair=operators(), seed=st.integers(0, 2**16))
+@example(pair=wide_sector_operator(), seed=0)
 def test_duality_identity(pair, seed):
     op, _ = pair
     f, g = random_fields(op, seed, 2)
@@ -164,3 +165,31 @@ def test_calderon_reproduction_on_stiff_operators(lam, Lam):
     grid = Grid(2, (16, 16), 1.0 / 16, PERIODIC)
     op = assemble_operator(grid, random_elliptic_coefficients(grid, lam, Lam, 0))
     assert_calderon_reproduces(op, 0)
+
+
+def operator_16():
+    grid = Grid(2, (16, 16), 1.0 / 16, PERIODIC)
+    return assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, 1))
+
+
+@pytest.mark.parametrize(
+    "make", [operator_16, lambda: wide_sector_operator()[0]], ids=["16x16", "wide-sector"]
+)
+def test_windows_integrate_their_symbols_within_the_tail(make):
+    # each identity C int_0^inf (t^2 lambda)^K e^{-b t^2 lambda} dt/t = 1,
+    # summed on its window, for every nonzero eigenvalue of L: off by at most
+    # the window's tail plus roundoff
+    op = make()
+    w = np.linalg.eigvals(op.matrix.toarray())
+    w = w[np.abs(w) > 1e-10 * np.abs(w).max()]
+    base = default_time_grid(op.grid)
+    calderon = reproduction_times(op, base.t_max, base.count)
+    identities = [(calderon, calderon_constant(M), M + 2, M + 2, 1e-4) for M in (1, 2, 3)]
+    for M in (1, 2, 3):
+        # the window and budget of `duality_pair`
+        times = tail_window(op, M + 1, duality_constant(M), 1e-13, 8 * max(op.grid.side_lengths), 128)
+        identities.append((times, duality_constant(M), M + 1, 2, 1e-13))
+    for times, constant, K, b, tail in identities:
+        x = times.samples[:, None] ** 2 * w
+        total = constant * (times.log_weights @ (x**K * np.exp(-b * x)))
+        assert np.abs(total - 1).max() <= tail + 1e-14
