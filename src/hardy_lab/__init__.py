@@ -22,10 +22,8 @@ from .grid import (
 )
 from .operator import DiscreteOperator, assemble_operator
 from .semigroup import (
-    GaffneyProfile,
     TimeGrid,
     default_time_grid,
-    gaffney_profile,
     heat_apply,
     heat_profile,
     mean_zero,
@@ -65,8 +63,9 @@ from .spaces import (
     tent_norms,
 )
 from .riesz import (
+    GaffneyProfile,
     commutator_slope,
-    gaffney_commutator_check,
+    gaffney_profile,
     inv_sqrt_apply,
     riesz_apply,
     riesz_h1_experiment,

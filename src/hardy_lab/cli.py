@@ -28,7 +28,6 @@ from .grid import (
     GridError,
     NonEllipticError,
     ScalarField,
-    check_ellipticity,
     full_grid_cube,
     identity_coefficients,
     lp_norm,
@@ -194,10 +193,7 @@ class ExperimentConfig:
             path = spec.get("path")
             if not path:
                 raise ConfigError("coefficients.path required for kind 'file'")
-            mats = self._coefficient_file(path)
-            # the declared bounds are placeholders until they are measured
-            lam, Lam = check_ellipticity(CoefficientField(self.grid, mats, 1.0, 1.0))
-            return CoefficientField(self.grid, mats, lam, Lam)
+            return CoefficientField(self.grid, self._coefficient_file(path))
         raise ConfigError(f"unknown coefficient kind {kind!r}")
 
     def _coefficient_file(self, path: str) -> np.ndarray:
@@ -523,8 +519,7 @@ def cmd_riesz(cfg: ExperimentConfig) -> None:
     size = min(cfg.grid.sizes)
     E = np.arange(0, max(size // 10, 2))
     F = np.arange(size // 2 - size // 16, size // 2 + size // 16)
-    d = semigroup.set_distance(cfg.grid, E, F)
-    t_values = np.geomspace(1e-4 * d * d, 1e-2 * d * d, 6)
+    t_values = riesz_mod.commutator_window(op, semigroup.set_distance(cfg.grid, E, F))
     slope_rows = []
     slope_ok = True
     for M in (1, 2):

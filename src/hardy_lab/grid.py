@@ -149,16 +149,10 @@ def restricted_lp_norm(
 
 @dataclass(frozen=True, eq=False)
 class CoefficientField:
-    """Per-cell d x d complex matrix A(x) with declared ellipticity bounds.
-
-    The lower bound is on the smallest eigenvalue of the Hermitian part,
-    Re(A xi . conj(xi)) >= lambda |xi|^2, the upper bound on the spectral norm.
-    """
+    """Per-cell d x d complex matrix A(x); `check_ellipticity` measures its bounds."""
 
     grid: Grid
     matrices: np.ndarray  # shape (N, d, d)
-    lam: float
-    Lam: float
 
     def __post_init__(self):
         m = np.asarray(self.matrices, dtype=complex)
@@ -166,8 +160,8 @@ class CoefficientField:
         if m.shape != (self.grid.n_nodes, d, d):
             raise GridError("matrices must have shape (n_nodes, dim, dim)")
         object.__setattr__(self, "matrices", m)
-        if not (0 < self.lam <= self.Lam < math.inf and np.isfinite(m).all()):
-            raise NonEllipticError("coefficients must be finite, with 0 < lambda <= Lambda < inf")
+        if not np.isfinite(m).all():
+            raise NonEllipticError("coefficients must be finite")
 
 
 def check_ellipticity(coeff: CoefficientField) -> tuple[float, float]:
@@ -185,7 +179,7 @@ def check_ellipticity(coeff: CoefficientField) -> tuple[float, float]:
 
 def identity_coefficients(grid: Grid) -> CoefficientField:
     eye = np.broadcast_to(np.eye(grid.dim), (grid.n_nodes, grid.dim, grid.dim))
-    return CoefficientField(grid, eye.copy(), 1.0, 1.0)
+    return CoefficientField(grid, eye.copy())
 
 
 def random_elliptic_coefficients(
@@ -203,7 +197,7 @@ def random_elliptic_coefficients(
     d, n = grid.dim, grid.n_nodes
     gap = Lam - lam
     if gap == 0:
-        return CoefficientField(grid, np.broadcast_to(lam * np.eye(d), (n, d, d)).copy(), lam, Lam)
+        return CoefficientField(grid, np.broadcast_to(lam * np.eye(d), (n, d, d)).copy())
     eigs = rng.uniform(lam, lam + 0.8 * gap, size=(n, d))
     z = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
     q, _ = np.linalg.qr(z)
@@ -213,7 +207,7 @@ def random_elliptic_coefficients(
     norms = np.linalg.norm(skew, ord=2, axis=(1, 2))
     scale = 0.2 * gap * rng.uniform(0.0, 1.0, size=n) / np.maximum(norms, 1e-300)
     a = herm + skew * scale[:, None, None]
-    return CoefficientField(grid, a, lam, Lam)
+    return CoefficientField(grid, a)
 
 
 # ---------------------------------------------------------------------------

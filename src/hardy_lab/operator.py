@@ -96,6 +96,11 @@ class DiscreteOperator:
     def n(self) -> int:
         return self.grid.n_nodes
 
+    @property
+    def gershgorin_bound(self) -> float:
+        """The largest absolute row sum of L, which bounds every |lambda|."""
+        return float(abs(self.matrix).sum(axis=1).max())
+
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """Discrete gradient, shape (dim, ...) matching the input columns."""
         return np.stack([g @ v for g in self.grads])

@@ -293,7 +293,7 @@ def oracle_gaffney(ops) -> list:
     # (t well above dist * spacing^2 in lattice units) and the decay factor
     # still sweeps two decades
     times = TimeGrid(8e-3, 1e-1, 16)
-    prof = semigroup.gaffney_profile(op, "heat", E, F, times)
+    prof = riesz.gaffney_profile(op, "heat", E, F, times)
     beta = prof.fitted_beta
     out.append(
         OracleResult(
@@ -307,8 +307,8 @@ def oracle_gaffney(ops) -> list:
     # the monotone decade check wants genuinely small times, below the
     # diffusive window used for the exponent fit
     mono_times = TimeGrid(1.2e-3, 6e-2, 16)
-    for fam in semigroup.GAFFNEY_FAMILIES:
-        p = semigroup.gaffney_profile(op, fam, E, F, mono_times)
+    for fam in riesz.GAFFNEY_FAMILIES:
+        p = riesz.gaffney_profile(op, fam, E, F, mono_times)
         decade = [
             n for t, n in zip(p.t_values, p.measured_norms) if t <= 10 * p.t_values[0]
         ]

@@ -1,11 +1,20 @@
-"""The Riesz transform grad L^{-1/2} and its boundedness experiments.
+"""The Riesz transform grad L^{-1/2}, its boundedness experiments, and the
+measured off-diagonal decay of operator families.
 
 L^{-1/2} is served by the functional calculus (`DenseCalculus.inv_sqrt`);
 a Krylov-served operator refuses it with ConvergenceError.
+
+Off-diagonal decay is one measurement, `_decay_norms`: the L^2(F) norm of
+T_t (I - e^{-tL})^M f at each time t, f the L^2-normalized indicator of E,
+E and F disjoint at distance d > 0.  The Gaffney families (M = 0) fall off
+like exp(-(d^2/(ct))^beta), fitted by `gaffney_profile`; the commutator
+transforms g_h and grad L^{-1/2} grow like (t/d^2)^M while Lambda t << d^2,
+the log-log slope `commutator_slope` fits on `commutator_window`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,38 +63,119 @@ def riesz_h1_experiment(molecules: list, op: DiscreteOperator) -> RieszH1Report:
     return RieszH1Report(rows, sup, ratio)
 
 
-def gaffney_commutator_check(
-    op: DiscreteOperator,
-    T: str,
-    M: int,
-    t: float,
-    E: np.ndarray,
-    F: np.ndarray,
-) -> float:
-    """Off-diagonal norm of T composed with a semigroup commutator factor.
+# ---------------------------------------------------------------------------
+# off-diagonal decay
+# ---------------------------------------------------------------------------
 
-    f is the L^2-normalized indicator of E; returns the L^2(F) norm of
-    T (I - e^{-tL})^M f, which decays like (t/dist(E,F)^2)^M.
-    """
-    if T not in ("g_h", "riesz"):
-        raise ValueError(f"unknown transform {T!r}")
-    if M < 1:
-        raise ValueError("need M >= 1")
+GAFFNEY_FAMILIES = ("heat", "t_heat_deriv", "grad_heat", "resolvent", "grad_resolvent")
+
+
+def _grad_magnitude(op: DiscreteOperator, t: float, u: np.ndarray) -> np.ndarray:
+    """sqrt(t) |grad u|, the components folded into a pointwise magnitude."""
+    return math.sqrt(t) * VectorField(op.gradient(u), op.grid).magnitude()
+
+
+# family -> (op, t, f) -> pointwise magnitudes of the family member at time t
+_FAMILIES = {
+    "heat": lambda op, t, f: np.abs(semigroup.heat_apply(op, t, f).values),
+    "t_heat_deriv": lambda op, t, f: np.abs(semigroup.calculus(op).heat_poly(1, t, f.values)),
+    "grad_heat": lambda op, t, f: _grad_magnitude(op, t, semigroup.heat_apply(op, t, f).values),
+    "resolvent": lambda op, t, f: np.abs(semigroup.resolvent_apply(op, math.sqrt(t), f).values),
+    "grad_resolvent": lambda op, t, f: _grad_magnitude(
+        op, t, semigroup.resolvent_apply(op, math.sqrt(t), f).values
+    ),
+    "g_h": lambda op, t, f: vertical_square_function(f, op).values,
+    # riesz_apply projects the roundoff-level mean of a commutator image
+    # through mean_zero
+    "riesz": lambda op, t, f: riesz_apply(op, f).magnitude(),
+}
+
+
+def _decay_norms(
+    op: DiscreteOperator, family: str, E: np.ndarray, F: np.ndarray, ts: np.ndarray, M: int = 0
+) -> tuple[float, np.ndarray]:
+    """dist(E, F) and, at each t in ts, the L^2(F) norm of
+    family(t) (I - e^{-tL})^M f, f the L^2-normalized indicator of E."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     grid = op.grid
-    if not semigroup.set_distance(grid, E, F) > 0:
-        raise ValueError("E and F must be separated")
+    E = np.asarray(E, dtype=int)
+    F = np.asarray(F, dtype=int)
+    if np.intersect1d(E, F).size:
+        raise ValueError("E and F must be disjoint")
+    dist = semigroup.set_distance(grid, E, F)
+    if dist <= 0:
+        raise ValueError("E and F must have positive distance")
     ind = np.zeros(grid.n_nodes, dtype=complex)
-    ind[np.asarray(E, dtype=int)] = 1.0
+    ind[E] = 1.0
     ind /= lp_norm(ind, grid, 2)
-    for _ in range(M):
-        ind = ind - semigroup.heat_apply(op, t, ScalarField(ind, grid)).values
-    field = ScalarField(ind, grid)
-    if T == "riesz":
-        # riesz_apply projects the roundoff-level mean through mean_zero
-        out = riesz_apply(op, field).magnitude()
-    else:
-        out = vertical_square_function(field, op).values
-    return restricted_lp_norm(out, grid, np.asarray(F, dtype=int), 2)
+    norms = np.empty(len(ts))
+    for j, t in enumerate(ts):
+        t = float(t)
+        v = ind
+        for _ in range(M):
+            v = v - semigroup.heat_apply(op, t, ScalarField(v, grid)).values
+        mag = _FAMILIES[family](op, t, ScalarField(v, grid))
+        norms[j] = restricted_lp_norm(mag, grid, F, 2)
+    return dist, norms
+
+
+@dataclass(frozen=True, eq=False)
+class GaffneyProfile:
+    """Measured L^2(E) -> L^2(F) decay of an operator family over time."""
+
+    t_values: np.ndarray
+    measured_norms: np.ndarray
+    fitted_beta: float
+
+
+def _fit_decay(dist: float, ts: np.ndarray, norms: np.ndarray) -> float:
+    """beta of the least-squares fit log(norm) = log C - (dist^2/(c t))^beta."""
+    # imported here: only the Gaffney fits need scipy.optimize, and its
+    # import is a large share of every other command's start-up
+    from scipy.optimize import curve_fit
+
+    mask = np.isfinite(norms) & (norms > 1e-13)
+    if mask.sum() < 5:
+        return math.nan
+    t, y = ts[mask], np.log(norms[mask])
+
+    def model(tt, logc, c, beta):
+        return logc - (dist * dist / (c * tt)) ** beta
+
+    try:
+        popt, _ = curve_fit(
+            model,
+            t,
+            y,
+            p0=(float(y.max()), 1.0, 1.0),
+            bounds=([-50.0, 1e-3, 0.1], [50.0, 1e3, 4.0]),
+            maxfev=20000,
+        )
+    except RuntimeError:
+        return math.nan
+    return float(popt[2])
+
+
+def gaffney_profile(
+    op: DiscreteOperator, family: str, E: np.ndarray, F: np.ndarray, times: semigroup.TimeGrid
+) -> GaffneyProfile:
+    """Off-diagonal decay of one Gaffney family, with a fitted beta."""
+    dist, norms = _decay_norms(op, family, E, F, times.samples)
+    return GaffneyProfile(times.samples, norms, _fit_decay(dist, times.samples, norms))
+
+
+def commutator_window(op: DiscreteOperator, dist: float) -> np.ndarray:
+    """Six times from 1e-4 to 1e-2 of dist^2 / stiffness, log-spaced.
+
+    The stiffness rho h^2 / (4 dim), rho the Gershgorin bound of L, is 1
+    for the identity coefficients and grows with Lambda, so the window
+    stays in the regime Lambda t << dist^2 where the commutator norms
+    grow like (t/dist^2)^M.
+    """
+    h = op.grid.spacing
+    s = 4 * op.grid.dim / (op.gershgorin_bound * h * h)
+    return np.geomspace(1e-4 * dist * dist * s, 1e-2 * dist * dist * s, 6)
 
 
 def commutator_slope(
@@ -96,8 +186,9 @@ def commutator_slope(
     F: np.ndarray,
     t_values: np.ndarray,
 ) -> float:
-    """Log-log slope of the measured commutator norm against t."""
-    norms = [gaffney_commutator_check(op, T, M, float(t), E, F) for t in t_values]
+    """Log-log slope against t of the L^2(F) norm of T (I - e^{-tL})^M f,
+    f the normalized indicator of E and T "g_h" or "riesz"."""
+    _, norms = _decay_norms(op, T, E, F, t_values, M)
     ys = np.maximum(norms, 1e-300)
     slope = np.polyfit(np.log(np.asarray(t_values, dtype=float)), np.log(ys), 1)[0]
     return float(slope)

@@ -1,5 +1,5 @@
-"""Operator functions of L: heat and Poisson semigroups, resolvents,
-negative powers, and measured off-diagonal decay profiles.
+"""Operator functions of L: heat and Poisson semigroups, resolvents and
+negative powers, and the time windows they are sampled on.
 
 Every operator is served by one functional calculus, built once and cached
 by `calculus(op)`.  The rule is: up to AUTO_DENSE_MAX nodes, eigendecompose
@@ -59,15 +59,7 @@ import numpy as np
 import scipy
 import scipy.sparse as sp
 
-from .grid import (
-    Grid,
-    GridError,
-    ScalarField,
-    VectorField,
-    lattice_distances,
-    lp_norm,
-    restricted_lp_norm,
-)
+from .grid import Grid, GridError, ScalarField, lattice_distances
 from .operator import DiscreteOperator
 
 AUTO_DENSE_MAX = 1024
@@ -153,8 +145,8 @@ def tail_window(
         constant * int_0^inf (t^2 lambda)^power e^{-b t^2 lambda} dt/t = 1   (b > 0)
 
     whose part below t_min, at most constant x^power / (2 power) with
-    x = t_min^2 rho for Re lambda >= 0, is at most `tail`.  rho, the largest
-    absolute row sum of L, bounds every |lambda| (Gershgorin).
+    x = t_min^2 rho for Re lambda >= 0, is at most `tail`.  rho =
+    `op.gershgorin_bound` bounds every |lambda|.
 
     `count` nodes serve a spectrum within pi/4 of the positive axis.  In
     log t the integrand is analytic on a strip of half-width
@@ -162,11 +154,10 @@ def tail_window(
     exp(-2 pi width / step), so on a wider sector (`op.sector` bounds
     |arg lambda|) the step shrinks in proportion to the strip.
     """
-    rho = float(abs(op.matrix).sum(axis=1).max())
     x = (2 * power * tail / constant) ** (1.0 / power)
     if op.sector > math.pi / 4:
         count = 1 + math.ceil((count - 1) * (math.pi / 4) / (math.pi / 2 - op.sector))
-    return TimeGrid(math.sqrt(x / rho), t_max, count)
+    return TimeGrid(math.sqrt(x / op.gershgorin_bound), t_max, count)
 
 
 # ---------------------------------------------------------------------------
@@ -742,98 +733,6 @@ def poisson_profile(op: DiscreteOperator, f: ScalarField, times: TimeGrid) -> np
     return np.stack(cols, axis=1)
 
 
-# ---------------------------------------------------------------------------
-# Gaffney off-diagonal profiles
-# ---------------------------------------------------------------------------
-
-GAFFNEY_FAMILIES = ("heat", "t_heat_deriv", "grad_heat", "resolvent", "grad_resolvent")
-
-
-@dataclass(frozen=True, eq=False)
-class GaffneyProfile:
-    """Measured L^2(E) -> L^2(F) decay of an operator family over time."""
-
-    t_values: np.ndarray
-    measured_norms: np.ndarray
-    fitted_beta: float
-
-
 def set_distance(grid: Grid, E: np.ndarray, F: np.ndarray) -> float:
+    """The lattice distance between two node sets."""
     return float(lattice_distances(grid, E, F).min())
-
-
-def _indicator(grid: Grid, E: np.ndarray) -> ScalarField:
-    v = np.zeros(grid.n_nodes, dtype=complex)
-    v[np.asarray(E, dtype=int)] = 1.0
-    v /= lp_norm(v, grid, 2)
-    return ScalarField(v, grid)
-
-
-def _family_apply(op: DiscreteOperator, family: str, t: float, f: ScalarField) -> np.ndarray:
-    """Magnitudes of the family member at time t (gradient families fold
-    the components into a pointwise Euclidean magnitude)."""
-    if family == "heat":
-        return np.abs(heat_apply(op, t, f).values)
-    if family == "t_heat_deriv":
-        return np.abs(calculus(op).heat_poly(1, t, _check_field(op, f)))
-    if family == "grad_heat":
-        u = heat_apply(op, t, f).values
-        return math.sqrt(t) * VectorField(op.gradient(u), op.grid).magnitude()
-    if family == "resolvent":
-        return np.abs(resolvent_apply(op, math.sqrt(t), f).values)
-    if family == "grad_resolvent":
-        u = resolvent_apply(op, math.sqrt(t), f).values
-        return math.sqrt(t) * VectorField(op.gradient(u), op.grid).magnitude()
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _fit_decay(dist: float, ts: np.ndarray, norms: np.ndarray) -> float:
-    """beta of the least-squares fit log(norm) = log C - (dist^2/(c t))^beta."""
-    # imported here: only the Gaffney fits need scipy.optimize, and its
-    # import is a large share of every other command's start-up
-    from scipy.optimize import curve_fit
-
-    mask = np.isfinite(norms) & (norms > 1e-13)
-    if mask.sum() < 5:
-        return math.nan
-    t, y = ts[mask], np.log(norms[mask])
-
-    def model(tt, logc, c, beta):
-        return logc - (dist * dist / (c * tt)) ** beta
-
-    try:
-        popt, _ = curve_fit(
-            model,
-            t,
-            y,
-            p0=(float(y.max()), 1.0, 1.0),
-            bounds=([-50.0, 1e-3, 0.1], [50.0, 1e3, 4.0]),
-            maxfev=20000,
-        )
-    except RuntimeError:
-        return math.nan
-    return float(popt[2])
-
-
-def gaffney_profile(
-    op: DiscreteOperator,
-    family: str,
-    E: np.ndarray,
-    F: np.ndarray,
-    times: TimeGrid,
-) -> GaffneyProfile:
-    """Off-diagonal decay of one operator family, with a fitted beta."""
-    E = np.asarray(E, dtype=int)
-    F = np.asarray(F, dtype=int)
-    if np.intersect1d(E, F).size:
-        raise ValueError("E and F must be disjoint")
-    dist = set_distance(op.grid, E, F)
-    if dist <= 0:
-        raise ValueError("E and F must have positive distance")
-    f = _indicator(op.grid, E)
-    ts = times.samples
-    norms = np.empty(ts.size)
-    for j, t in enumerate(ts):
-        mag = _family_apply(op, family, float(t), f)
-        norms[j] = restricted_lp_norm(mag, op.grid, F, 2)
-    return GaffneyProfile(ts, norms, _fit_decay(dist, ts, norms))

@@ -58,6 +58,18 @@ def test_riesz_command(tmp_path):
     assert len(rows) == 4
 
 
+def test_riesz_command_on_stiff_operator(tmp_path):
+    # Lambda = 50: a window fixed at 1e-4..1e-2 d^2 leaves the (t/d^2)^M
+    # regime and the slopes fall below M - 0.2
+    cfg = write_config(
+        tmp_path,
+        grid={"sizes": [16, 16]},
+        coefficients={"kind": "random", "Lam": 50, "seed": 1},
+        corpus={"count": 2, "seed": 0},
+    )
+    assert cli.main(["riesz", "--config", str(cfg)]) == cli.EXIT_OK
+
+
 def test_oracle_command_with_filter(tmp_path):
     cfg = write_config(tmp_path)
     code = cli.main(["oracle", "--config", str(cfg), "--filter", "calderon"])

@@ -133,7 +133,7 @@ def test_random_coefficients_are_elliptic(grid1d):
 def test_non_elliptic_coefficients_rejected(grid1d):
     mats = np.zeros((grid1d.n_nodes, 1, 1), dtype=complex)
     with pytest.raises(NonEllipticError):
-        check_ellipticity(CoefficientField(grid1d, mats, 1.0, 1.0))
+        check_ellipticity(CoefficientField(grid1d, mats))
 
 
 def test_operator_annihilates_constants(op1d_random):

@@ -38,7 +38,7 @@ def wide_sector_operator():
         2.27172998 - 0.2659636j, 1.99603634 + 0.43806199j, 0.11570778 + 0.2875725j,
         2.09212239 + 0.30600859j, 0.18704164 - 0.45428236j,
     ])
-    coeff = CoefficientField(grid, a.reshape(14, 1, 1), 0.109375, 3.0)
+    coeff = CoefficientField(grid, a.reshape(14, 1, 1))
     return assemble_operator(grid, coeff), coeff
 
 

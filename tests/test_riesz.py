@@ -8,6 +8,7 @@ from hardy_lab import (
     ScalarField,
     VectorField,
     assemble_operator,
+    identity_coefficients,
     inv_sqrt_apply,
     lp_norm,
     random_elliptic_coefficients,
@@ -17,7 +18,7 @@ from hardy_lab import (
 )
 from hardy_lab.grid import DIRICHLET, PERIODIC
 from hardy_lab.oracle_suite import _inv_sqrt_by_sqrtm
-from hardy_lab.riesz import commutator_slope, gaffney_commutator_check
+from hardy_lab.riesz import commutator_slope, commutator_window
 from hardy_lab.semigroup import KernelComponentError
 from conftest import mean_zero_field
 
@@ -71,10 +72,23 @@ def test_riesz_h1_empty_corpus(op1d):
 
 
 def test_commutator_rejects_touching_sets(op1d):
-    with pytest.raises(ValueError):
-        gaffney_commutator_check(
-            op1d, "g_h", 1, 1e-3, np.arange(0, 6), np.arange(5, 10)
+    with pytest.raises(ValueError, match="disjoint"):
+        commutator_slope(
+            op1d, "g_h", 1, np.arange(0, 6), np.arange(5, 10), np.array([1e-3, 1e-2])
         )
+
+
+@pytest.mark.parametrize(
+    "sizes, boundary", [((64,), PERIODIC), ((16, 16), PERIODIC), ((12, 12), DIRICHLET)]
+)
+def test_commutator_window_is_fixed_for_identity(sizes, boundary):
+    # the identity coefficients have stiffness exactly 1, so the window is
+    # the unscaled 1e-4 to 1e-2 of dist^2
+    grid = Grid(len(sizes), sizes, 1.0 / max(sizes), boundary)
+    op = assemble_operator(grid, identity_coefficients(grid))
+    d = 0.3
+    want = np.geomspace(1e-4 * d * d, 1e-2 * d * d, 6)
+    np.testing.assert_allclose(commutator_window(op, d), want, rtol=1e-12, atol=0)
 
 
 def test_commutator_slope_near_order(op1d):
