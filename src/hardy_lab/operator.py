@@ -5,14 +5,27 @@ difference per axis and A acts cellwise as the d x d coefficient matrix.
 This makes the sesquilinear form exact at the discrete level: the adjoint
 is the entrywise conjugate transpose (served by `semigroup.calculus(op).adjoint()`)
 and accretivity follows from ellipticity with the same constant.
+
+L is held as its lattice stencil: (L u)(x) = sum_k c_k(x) u(x + k) over
+the lattice offsets k, each c_k an array of the grid's shape.  Each term
+(S_a^T - I) diag(A_ab) (S_b - I) / h^2, S_b the shift u(x) -> u(x + e_b),
+gives the offsets 0, e_b - e_a, -e_a and e_b: 3 offsets in 1D, 7 in 2D.  On
+a torus the offsets wrap; on a Dirichlet grid a neighbour past the edge is
+a zero ghost value, so c_k(x) is 0 wherever x + k is off the grid, and the
+wrapped pieces are never read.  `DiscreteOperator` applies L, L^H and G by
+slicing the grid-shaped view of its input, so only numpy runs; the scipy
+CSR matrix is built from the same entries on first access to `matrix`, for
+the sparse LU and Krylov routes and for the oracle suite.  This module is
+the only one that knows the stencil format.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import (
     PERIODIC,
@@ -23,33 +36,29 @@ from .grid import (
 )
 
 
-def _shift_matrix(size: int, periodic: bool) -> sp.csr_matrix:
-    """Maps u_i to u_{i+1}, wrapping or using a zero ghost value."""
-    rows = np.arange(size - 1)
-    cols = np.arange(1, size)
-    data = np.ones(size - 1)
-    if periodic:
-        rows = np.append(rows, size - 1)
-        cols = np.append(cols, 0)
-        data = np.append(data, 1.0)
-    return sp.csr_matrix((data, (rows, cols)), shape=(size, size))
-
-
-def gradient_matrices(grid: Grid) -> tuple[sp.csr_matrix, ...]:
-    """Forward-difference matrices, one per axis, shape N x N each."""
+def _pieces(grid: Grid, k: tuple[int, ...]) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
+    """(dst, src) pairs of slice tuples that cover u(x + k): over the block
+    dst of the grid, x + k runs over the block src.  On a Dirichlet grid the
+    wrapped pieces are left out, as x + k is then off the grid."""
     periodic = grid.boundary == PERIODIC
-    h = grid.spacing
-    mats = []
-    eyes = [sp.identity(s, format="csr") for s in grid.sizes]
-    for a in range(grid.dim):
-        shift = _shift_matrix(grid.sizes[a], periodic)
-        d1 = (shift - sp.identity(grid.sizes[a])) / h
-        factors = [d1 if b == a else eyes[b] for b in range(grid.dim)]
-        m = factors[0]
-        for f in factors[1:]:
-            m = sp.kron(m, f, format="csr")
-        mats.append(sp.csr_matrix(m))
-    return tuple(mats)
+    per_axis = []
+    for n, d in zip(grid.sizes, k):
+        if d >= 0:
+            axis = [(slice(0, n - d), slice(d, n))]
+            wrap = (slice(n - d, n), slice(0, d))
+        else:
+            axis = [(slice(-d, n), slice(0, n + d))]
+            wrap = (slice(0, -d), slice(n + d, n))
+        per_axis.append(axis + [wrap] if periodic and d else axis)
+    return [tuple(zip(*combo)) for combo in itertools.product(*per_axis)]
+
+
+def _shifted(grid: Grid, a: np.ndarray, k: tuple[int, ...]) -> np.ndarray:
+    """The grid-shaped array x -> a(x + k), 0 where x + k is off the grid."""
+    out = np.zeros_like(a)
+    for dst, src in _pieces(grid, k):
+        out[dst] = a[src]
+    return out
 
 
 def _sector(a: np.ndarray) -> float:
@@ -77,33 +86,107 @@ def _sector(a: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Sparse L and the gradient it was built from.
+    """L as its lattice stencil (see the module docstring).
 
-    `sector` is the half-angle of a sector |arg z| <= sector that holds the
-    numerical range of L, and so its spectrum: <Lu, u> sums xi^H A(x) xi
-    over the cells, xi the gradient of u there, so it is the largest
-    half-angle of the numerical ranges of the cellwise A(x).  It is at most
-    arccos(lambda / Lambda).
+    `stencil` maps each offset k to c_k, in the order of the offset's flat
+    index, so that a node away from the edges sums its terms in the column
+    order of a CSR row.  `sector` is the half-angle of a sector
+    |arg z| <= sector that holds the numerical range of L, and so its
+    spectrum: <Lu, u> sums xi^H A(x) xi over the cells, xi the gradient of
+    u there, so it is the largest half-angle of the numerical ranges of the
+    cellwise A(x).  It is at most arccos(lambda / Lambda).
     """
 
-    matrix: sp.csr_matrix
     grid: Grid
     kernel_dim: int
-    grads: tuple[sp.csr_matrix, ...]
+    stencil: dict
     sector: float
 
     @property
     def n(self) -> int:
         return self.grid.n_nodes
 
-    @property
-    def gershgorin_bound(self) -> float:
-        """The largest absolute row sum of L, which bounds every |lambda|."""
-        return float(abs(self.matrix).sum(axis=1).max())
+    @functools.cached_property
+    def _plan(self) -> list:
+        return [(c, _pieces(self.grid, k)) for k, c in self.stencil.items()]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """L x for a vector or an (N, m) block of columns, any strides."""
+        u = x.reshape(self.grid.sizes + x.shape[1:])
+        out = np.zeros(u.shape, dtype=np.result_type(u, complex))
+        tmp = np.empty_like(out)
+        tail = (1,) * (x.ndim - 1)
+        for c, pieces in self._plan:
+            c = c.reshape(c.shape + tail)
+            for dst, src in pieces:
+                t = tmp[dst]
+                np.multiply(c[dst], u[src], out=t)
+                out[dst] += t
+        return out.reshape(x.shape)
+
+    def adjoint(self) -> "DiscreteOperator":
+        """L^H, entry for entry: its c_k(x) is conj c_{-k}(x + k)."""
+        stencil = {
+            k: np.conj(_shifted(self.grid, self.stencil[neg], k))
+            for k, neg in sorted((tuple(-d for d in k), k) for k in self.stencil)
+        }
+        return DiscreteOperator(self.grid, self.kernel_dim, stencil, self.sector)
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
-        """Discrete gradient, shape (dim, ...) matching the input columns."""
-        return np.stack([g @ v for g in self.grads])
+        """Forward differences (v(x + e_a) - v(x)) / h, one per axis a, with a
+        zero ghost past a Dirichlet edge; shape (dim,) + v.shape."""
+        s = v.reshape(self.grid.sizes + v.shape[1:]) * (1.0 / self.grid.spacing)
+        axes = range(self.grid.dim)
+        diffs = [_shifted(self.grid, s, tuple(int(b == a) for b in axes)) - s for a in axes]
+        return np.stack(diffs).reshape((self.grid.dim,) + v.shape)
+
+    @property
+    def gershgorin_bound(self) -> float:
+        """||L||_inf, the largest absolute row sum, which bounds every |lambda|."""
+        return float(sum(np.abs(c) for c in self.stencil.values()).max())
+
+    @property
+    def norm_1(self) -> float:
+        """||L||_1, the largest absolute column sum."""
+        return self.adjoint().gershgorin_bound
+
+    @property
+    def hermitian_lower_bound(self) -> float:
+        """The Gershgorin lower bound on the spectrum of (L + L^H)/2."""
+        adj = self.adjoint().stencil
+        centre = self.stencil[(0,) * self.grid.dim].real
+        offsets = sorted((self.stencil.keys() | adj.keys()) - {(0,) * self.grid.dim})
+        radius = sum(np.abs(self.stencil.get(k, 0.0) + adj.get(k, 0.0)) for k in offsets)
+        return float((centre - radius / 2).min())
+
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the entries of L, zeros included."""
+        index = np.arange(self.n).reshape(self.grid.sizes)
+        parts = [
+            (index[dst].ravel(), index[src].ravel(), c[dst].ravel())
+            for c, pieces in self._plan
+            for dst, src in pieces
+        ]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    def toarray(self) -> np.ndarray:
+        """L as a dense N x N array."""
+        rows, cols, vals = self._entries()
+        out = np.zeros((self.n, self.n), dtype=complex)
+        out[rows, cols] = vals
+        return out
+
+    @functools.cached_property
+    def matrix(self):
+        """L as a scipy CSR matrix with sorted indices and no stored zeros,
+        built on first access."""
+        import scipy.sparse as sp  # the stencil routes never need it
+
+        rows, cols, vals = self._entries()
+        mat = sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+        mat.eliminate_zeros()
+        mat.sort_indices()
+        return mat
 
 
 def assemble_operator(grid: Grid, coeff: CoefficientField) -> DiscreteOperator:
@@ -111,15 +194,34 @@ def assemble_operator(grid: Grid, coeff: CoefficientField) -> DiscreteOperator:
     if coeff.grid != grid:
         raise GridError("coefficient field lives on a different grid")
     check_ellipticity(coeff)
-    grads = gradient_matrices(grid)
-    mat = None
-    for a in range(grid.dim):
-        ga_h = grads[a].conj().T.tocsr()
-        for b in range(grid.dim):
-            diag = sp.diags(coeff.matrices[:, a, b])
-            term = ga_h @ diag @ grads[b]
-            mat = term if mat is None else mat + term
-    mat = sp.csr_matrix(mat)
-    mat.sort_indices()
+    unit = np.eye(grid.dim, dtype=int)
+
+    def offset(v) -> tuple[int, ...]:
+        return tuple(int(i) for i in v)
+
+    zero = (0,) * grid.dim
+    inv_h = 1.0 / grid.spacing
+    terms: dict = {}
+    for a, b in itertools.product(range(grid.dim), repeat=2):
+        # (S_a^T - I) diag(t) (S_b - I) with t = A_ab / h^2, each entry rounded
+        # as the sparse product G_a^H diag(A_ab) G_b rounds it: 1/h, A_ab(x)
+        # and 1/h multiplied in turn, the term's diagonal summed first, then
+        # the terms summed in the order of (a, b)
+        t = (coeff.matrices[:, a, b].reshape(grid.sizes) * inv_h) * inv_h
+        back = _shifted(grid, t, offset(-unit[a]))
+        parts = [(offset(-unit[a]), -back), (offset(unit[b]), -t)]
+        if a == b:
+            parts.append((zero, t + back))
+        else:
+            parts += [(zero, t), (offset(unit[b] - unit[a]), back)]
+        for k, val in parts:
+            terms[k] = terms[k] + val if k in terms else val
+    stencil = {}
+    for k in sorted(terms):  # offsets in {-1, 0, 1}^dim: flat-index order
+        c = terms[k]
+        if grid.boundary != PERIODIC:
+            c = np.where(_shifted(grid, np.ones(grid.sizes, dtype=bool), k), c, 0.0)
+        if np.any(c):
+            stencil[k] = c
     kernel_dim = 1 if grid.boundary == PERIODIC else 0
-    return DiscreteOperator(mat, grid, kernel_dim, grads, _sector(coeff.matrices))
+    return DiscreteOperator(grid, kernel_dim, stencil, _sector(coeff.matrices))

@@ -9,23 +9,27 @@ reconstructing a full matrix exponential is below 1e-10 (`DenseCalculus`,
 sparse exponential actions and direct sparse solves (`KrylovCalculus`).
 The size rule picks the solver with the backend: `KrylovCalculus` solves
 resolvents and negative powers by sparse LU, `DenseCalculus` reads them
-off the eigenbasis with one step of iterative refinement against the
-sparse L, so a dense command factorizes nothing.  `scipy.linalg` (for
-`eig`) and `scipy.sparse.linalg` (for LU and Krylov actions) are imported
-on first use: a command served by a cached eigenbasis loads neither.
+off the eigenbasis with one step of iterative refinement against L, so a
+dense command factorizes nothing.  The calculus reads L only through the
+operator: its stencil products in the refinement steps, the heat
+polynomials and the reconstruction check, its dense array for `eig`, and
+its CSR matrix for the sparse routes alone.  `scipy.linalg` (for `eig`),
+`scipy.sparse` (for the CSR L) and `scipy.sparse.linalg` (for LU and
+Krylov actions) are imported on first use: a command served by a cached
+eigenbasis loads none of them.
 
 A verified eigenbasis is also kept on disk, under
 $XDG_CACHE_HOME/hardy-lab (~/.cache/hardy-lab when that is unset), so
 later processes on the same L load it instead of calling `eig` again.  An
-entry is keyed on the sha256 of the CSR arrays, the shape and kernel_dim
-of L, the numpy and scipy versions, the BLAS thread setting and the bytes
-of this file, so it holds what a fresh build here would produce.  A loaded
-basis passes the same reconstruction check as a built one; an entry that
-is missing, unreadable or fails the check is rebuilt and replaced, and an
-unwritable directory only means nothing is kept.  The directory is held
-under CACHE_MAX_BYTES by deleting the least recently used entries.
-`eigenvalues`, the fallback for a basis that fails its check, neither
-reads nor writes it.
+entry is keyed on the sha256 of the stencil arrays of L, the grid's
+sizes and boundary, kernel_dim, the numpy and scipy versions, the BLAS
+thread setting and the bytes of this file, so it holds what a fresh
+build here would produce.  A loaded basis passes the same reconstruction
+check as a built one; an entry that is missing, unreadable or fails the
+check is rebuilt and replaced, and an unwritable directory only means
+nothing is kept.  The directory is held under CACHE_MAX_BYTES by
+deleting the least recently used entries.  `eigenvalues`, the fallback
+for a basis that fails its check, neither reads nor writes it.
 
 Functions of sqrt(L) are evaluated on the eigenbasis only.  L^{1/2} and
 L^{-1/2} are the principal z^{1/2} and z^{-1/2} on the eigenvalues, the
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import importlib
 import math
@@ -57,7 +62,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from .grid import Grid, GridError, ScalarField, lattice_distances
 from .operator import DiscreteOperator
@@ -82,7 +86,9 @@ class _OnFirstUse:
         return getattr(importlib.import_module(self._name), attr)
 
 
-# only KrylovCalculus needs scipy.sparse.linalg (splu, expm_multiply)
+# only KrylovCalculus needs scipy.sparse (the CSR L) and scipy.sparse.linalg
+# (splu, expm_multiply)
+sp = _OnFirstUse("scipy.sparse")
 spla = _OnFirstUse("scipy.sparse.linalg")
 
 
@@ -165,6 +171,11 @@ def tail_window(
 # ---------------------------------------------------------------------------
 
 
+# L, and L bordered by the constants, have a symmetric sparsity pattern, so
+# SuperLU orders the columns by minimum degree on A^T + A
+_SYMMETRIC_ORDERING = "MMD_AT_PLUS_A"
+
+
 class KrylovCalculus:
     """Functional calculus of one operator through sparse routes, at any size.
 
@@ -177,9 +188,10 @@ class KrylovCalculus:
     """
 
     def __init__(self, op: DiscreteOperator):
-        # no reference to op itself, so the weakly keyed cache can drop it
-        self.matrix, self.kernel_dim = op.matrix, op.kernel_dim
-        self.n = op.n
+        # a twin sharing op's stencil, not op itself, so the weakly keyed
+        # cache can drop op
+        self.op = dataclasses.replace(op)
+        self.kernel_dim, self.n = op.kernel_dim, op.n
         self._lu: dict = {}
 
     def heat(self, s: float, v: np.ndarray) -> np.ndarray:
@@ -187,7 +199,7 @@ class KrylovCalculus:
         if s == 0:
             return np.array(v, copy=True)
         try:
-            return spla.expm_multiply(-s * self.matrix, v)
+            return spla.expm_multiply(-s * self.op.matrix, v)
         except Exception as exc:  # pragma: no cover - scipy internal failure
             raise ConvergenceError(f"expm_multiply failed at t={s}: {exc}") from exc
 
@@ -199,14 +211,14 @@ class KrylovCalculus:
         """(sL)^k e^{-sL} v for a vector or a block of columns."""
         out = self.heat(s, v)
         for _ in range(k):
-            out = s * (self.matrix @ out)
+            out = s * self.op.apply(out)
         return out
 
     def heat_profile(self, ts: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
         """Columns (t^2 L)^k e^{-t^2 L} v for a vector v; shape (N, len(ts))."""
         out = self.heat_batch(ts**2, v)
         for _ in range(k):
-            out = (self.matrix @ out) * (ts**2)[None, :]
+            out = self.op.apply(out) * (ts**2)[None, :]
         return out
 
     def _refuse(self, what: str):
@@ -231,13 +243,13 @@ class KrylovCalculus:
         if s == 0:
             return np.array(v, copy=True)
         if s not in self._lu:
-            mat = sp.identity(self.n, format="csc", dtype=complex) + s * self.matrix.tocsc()
-            self._lu[s] = spla.splu(mat)
+            mat = sp.identity(self.n, format="csc", dtype=complex) + s * self.op.matrix.tocsc()
+            self._lu[s] = spla.splu(mat, permc_spec=_SYMMETRIC_ORDERING)
         return self._checked_resolvent(s, v, self._lu[s].solve(v))
 
     def _checked_resolvent(self, s: float, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out, unless its residual against (I + sL) out = v exceeds 1e-10."""
-        resid = np.linalg.norm(out + s * (self.matrix @ out) - v)
+        resid = np.linalg.norm(out + s * self.op.apply(out) - v)
         scale = max(np.linalg.norm(v), 1e-300)
         if resid / scale > 1e-10:
             raise ConvergenceError(
@@ -255,11 +267,11 @@ class KrylovCalculus:
         mean-zero (see `mean_zero`).
         """
         if "pinned" not in self._lu:
-            mat = self.matrix.tocsc().astype(complex)
+            mat = self.op.matrix.tocsc().astype(complex)
             if self.kernel_dim:
                 ones = np.ones((self.n, 1))
                 mat = sp.bmat([[mat, ones], [ones.T, None]], format="csc")
-            self._lu["pinned"] = spla.splu(mat)
+            self._lu["pinned"] = spla.splu(mat, permc_spec=_SYMMETRIC_ORDERING)
         for _ in range(k):
             if self.kernel_dim:
                 v = np.append(v, 0.0)
@@ -269,7 +281,7 @@ class KrylovCalculus:
     def adjoint(self) -> "KrylovCalculus":
         """The calculus of L* = L^H: the same routes, with a fresh LU cache."""
         adj = copy.copy(self)
-        adj.matrix = self.matrix.conj().T.tocsr()
+        adj.op = self.op.adjoint()
         adj._lu = {}
         return adj
 
@@ -289,7 +301,7 @@ class DenseCalculus(KrylovCalculus):
     `reconstruction_error` (that bound) and `cache_key`.  V, V^{-1} and w
     are the only N x N state.  Functions of L are evaluated on the
     eigenvalues, and so are resolvents and negative powers, each followed
-    by one refinement step against the sparse L that keeps it as accurate
+    by one refinement step against L that keeps it as accurate
     as an LU solve (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 2002, ch. 12).
     """
@@ -304,12 +316,12 @@ class DenseCalculus(KrylovCalculus):
         root = _cache_dir()
         path = None if root is None else root / f"{self.cache_key}.eig"
         basis = _load_eigenbasis(path, op.n)
-        err = math.inf if basis is None else _reconstruction_error(op.matrix, *basis)
+        err = math.inf if basis is None else _reconstruction_error(op, *basis)
         self.source = "cache"
         if not err < 1e-10:
             basis = None  # release a failed entry before eig allocates
-            basis = _build_eigenbasis(op.matrix)
-            err = _reconstruction_error(op.matrix, *basis)
+            basis = _build_eigenbasis(op)
+            err = _reconstruction_error(op, *basis)
             if not err < 1e-10:
                 raise ConvergenceError(f"eigenbasis reconstruction error {err:.2e} exceeds 1e-10")
             self.source = "built"
@@ -347,12 +359,12 @@ class DenseCalculus(KrylovCalculus):
             return np.array(v, copy=True)
         symbol = 1.0 / (1.0 + s * self.w)
         out = self._apply_vals(symbol, v)
-        out += self._apply_vals(symbol, v - out - s * (self.matrix @ out))
+        out += self._apply_vals(symbol, v - out - s * self.op.apply(out))
         return self._checked_resolvent(s, v, out)
 
     def neg_power(self, k: int, v: np.ndarray) -> np.ndarray:
         """L^{-k} v by k applications of the symbol 1/w, 0 on the pinned
-        kernel, each refined once against the sparse L.
+        kernel, each refined once against L.
 
         On periodic grids every application lands on the mean-zero fields,
         and the roundoff mean of its residual is removed before the
@@ -361,7 +373,7 @@ class DenseCalculus(KrylovCalculus):
         symbol = self._inverse_off_kernel(self.w)
         for _ in range(k):
             out = self._apply_vals(symbol, v)
-            resid = v - self.matrix @ out
+            resid = v - self.op.apply(out)
             if self.kernel_dim:
                 resid -= resid.mean(axis=0)
             v = out + self._apply_vals(symbol, resid)
@@ -400,11 +412,11 @@ class DenseCalculus(KrylovCalculus):
         return adj
 
 
-def _build_eigenbasis(matrix: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w, V, V^{-1}) of the sparse L by dense `eig` and `inv`, unchecked."""
+def _build_eigenbasis(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, V, V^{-1}) of L by dense `eig` and `inv`, unchecked."""
     import scipy.linalg  # a cache hit never needs it
 
-    a = matrix.toarray()
+    a = op.toarray()
     w, v = scipy.linalg.eig(a)
     del a
     return w, v, scipy.linalg.inv(v)
@@ -430,16 +442,16 @@ def _cache_dir() -> Path | None:
 
 def _cache_key(op: DiscreteOperator) -> str:
     """sha256 of everything a fresh eigenbasis of op depends on here."""
-    m = op.matrix
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     h = hashlib.sha256()
-    for part in (m.data, m.indices, m.indptr):
+    for offset, part in op.stencil.items():
+        h.update(repr(offset).encode())
         h.update(part.dtype.str.encode())
         h.update(np.ascontiguousarray(part))
     setting = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     h.update(
         repr(
-            (m.shape, m.nnz, op.kernel_dim, np.__version__, scipy.__version__,
+            (op.grid.sizes, op.grid.boundary, op.kernel_dim, np.__version__, scipy.__version__,
              platform.machine(), cpus, sorted(setting.items()))
         ).encode()
     )
@@ -519,7 +531,7 @@ _CHECK_BLOCK = 64
 
 
 def _reconstruction_error(
-    matrix: sp.spmatrix, w: np.ndarray, v: np.ndarray, vinv: np.ndarray
+    op: DiscreteOperator, w: np.ndarray, v: np.ndarray, vinv: np.ndarray
 ) -> float:
     """An upper bound on ||X - R||_F / ||R||_F, where X = V e^{-t0 W} V^{-1},
     R = e^{-t0 L}, W = diag(w) and t0 = 1/(max|w| + 1).
@@ -540,15 +552,11 @@ def _reconstruction_error(
     Hermitian part (L + L^H)/2, here by Gershgorin, and
     b = e^{t0 max(0, -min Re w)}.  So the bound is never below the error it
     bounds.  The residuals are summed over all N columns, _CHECK_BLOCK at a
-    time: one sparse product and one N x N x _CHECK_BLOCK product a block.
+    time: one stencil product and one N x N x _CHECK_BLOCK product a block.
     """
     t0 = 1.0 / (float(np.abs(w).max()) + 1.0)
-    absolute = abs(matrix)
-    norm2 = math.sqrt(float(absolute.sum(axis=0).max()) * float(absolute.sum(axis=1).max()))
-    herm = (matrix + matrix.conj().T) / 2
-    centre = herm.diagonal().real
-    radius = np.asarray(abs(herm).sum(axis=1)).ravel() - np.abs(centre)
-    mu = float((centre - radius).min())
+    norm2 = math.sqrt(op.norm_1 * op.gershgorin_bound)
+    mu = op.hermitian_lower_bound
     # log of a / e^{-t0 ||L||_2}; t0 |w| < 1 keeps b below e
     growth = t0 * (max(0.0, -mu) + norm2)
     b = math.exp(t0 * max(0.0, -float(w.real.min())))
@@ -556,7 +564,7 @@ def _reconstruction_error(
     for lo in range(0, w.size, _CHECK_BLOCK):
         hi = min(lo + _CHECK_BLOCK, w.size)
         block = v[:, lo:hi]
-        e1 += float(np.linalg.norm(matrix @ block - block * w[lo:hi])) ** 2
+        e1 += float(np.linalg.norm(op.apply(block) - block * w[lo:hi])) ** 2
         prod = v @ vinv[:, lo:hi]
         prod[np.arange(lo, hi), np.arange(hi - lo)] -= 1.0
         e2 += float(np.linalg.norm(prod)) ** 2
@@ -583,7 +591,7 @@ def eigenvalues(op: DiscreteOperator) -> np.ndarray:
     eigenbasis failed its check and `calculus` fell back to Krylov."""
     import scipy.linalg
 
-    return _pin_kernel(scipy.linalg.eigvals(op.matrix.toarray()), op.kernel_dim)[0]
+    return _pin_kernel(scipy.linalg.eigvals(op.toarray()), op.kernel_dim)[0]
 
 
 _CALCULI: "weakref.WeakKeyDictionary[DiscreteOperator, KrylovCalculus]" = (

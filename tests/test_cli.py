@@ -363,13 +363,15 @@ def test_bmo_duality_check_holds_on_near_orthogonal_pairs(tmp_path):
 
 
 def test_cli_import_leaves_optional_scipy_modules_unloaded():
-    # scipy.optimize, scipy.ndimage, scipy.linalg, scipy.sparse.linalg and the
-    # oracle suite (with scipy.integrate) load inside the functions that need them
+    # scipy.optimize, scipy.ndimage, scipy.linalg, scipy.sparse (with
+    # scipy.sparse.linalg) and the oracle suite (with scipy.integrate) load
+    # inside the functions that need them
     optional = (
         "scipy.optimize",
         "scipy.ndimage",
         "scipy.integrate",
         "scipy.linalg",
+        "scipy.sparse",
         "scipy.sparse.linalg",
         "hardy_lab.oracle_suite",
     )
@@ -384,31 +386,41 @@ def test_cli_import_leaves_optional_scipy_modules_unloaded():
 
 def test_warm_dense_commands_load_no_scipy_linalg(tmp_path):
     # each command in a fresh interpreter on a basis assemble already built:
-    # no eig, no LU, so neither scipy.linalg nor scipy.sparse.linalg loads
+    # no eig, no LU and no CSR matrix, so neither scipy.linalg nor
+    # scipy.sparse loads; nor does assemble past AUTO_DENSE_MAX, which
+    # computes no spectrum
     cfg = write_config(
         tmp_path, grid={"sizes": [16, 16]}, coefficients={"kind": "random", "seed": 1}
     )
+    (tmp_path / "large-config").mkdir()
+    large = write_config(
+        tmp_path / "large-config", grid={"sizes": [64, 64]}, coefficients={"kind": "random", "seed": 1}
+    )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(tmp_path / "xdg"))
-    heavy = ("scipy.linalg", "scipy.sparse.linalg")
+    heavy = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
     code = (
         "import json, sys\n"
         "from hardy_lab import cli\n"
         "code = cli.main(sys.argv[1:])\n"
         f"print(json.dumps([code, [m for m in {heavy!r} if m in sys.modules]]))\n"
     )
-    for command, out in [("assemble", "cold")] + [
-        (c, c) for c in ("assemble", "bmo", "carleson", "riesz")
-    ]:
-        argv = [command, "--config", str(cfg), "--out", str(tmp_path / out)]
+    runs = [("assemble", cfg, "cold")] + [
+        (c, cfg, c) for c in ("assemble", "bmo", "carleson", "riesz")
+    ] + [("assemble", large, "large")]
+    for command, config, out in runs:
+        argv = [command, "--config", str(config), "--out", str(tmp_path / out)]
         run = subprocess.run(
             [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
         )
         status, loaded = json.loads(run.stdout.strip().splitlines()[-1])
         assert status == cli.EXIT_OK, run.stderr
         meta = json.loads((tmp_path / out / "run_metadata.json").read_text())
-        if out != "cold":
+        if out == "large":
+            assert meta["calculus"] is None and not (tmp_path / out / "spectrum.csv").exists()
+        elif out != "cold":
             assert meta["calculus"]["eigenbasis"] == "cache"
+        if out != "cold":
             assert loaded == [], (command, loaded)
 
 
