@@ -105,9 +105,13 @@ def vertical_square_function(
 ) -> ScalarField:
     """Pointwise dt/t square function g_h, no cone; M is the power of t^2 L."""
     times = times or semigroup.default_time_grid(op.grid)
-    vals = _build_profile(f, op, "heat", M, times)
-    out = np.sqrt((np.abs(vals) ** 2) @ times.log_weights)
-    return ScalarField(out, op.grid)
+    return ScalarField(_log_time_norm(_build_profile(f, op, "heat", M, times), times), op.grid)
+
+
+def _log_time_norm(profile: np.ndarray, times: TimeGrid) -> np.ndarray:
+    """(int |P(t)|^2 dt/t)^{1/2} over the last axis, the time axis, of a
+    profile P: the trapezoid rule in log t of `times`."""
+    return np.sqrt((np.abs(profile) ** 2) @ times.log_weights)
 
 
 def _ball_sums(grid: Grid, radii: np.ndarray, *columns: np.ndarray) -> list:

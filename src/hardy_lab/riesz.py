@@ -6,10 +6,14 @@ a Krylov-served operator refuses it with ConvergenceError.
 
 Off-diagonal decay is one measurement, `_decay_norms`: the L^2(F) norm of
 T_t (I - e^{-tL})^M f at each time t, f the L^2-normalized indicator of E,
-E and F disjoint at distance d > 0.  The Gaffney families (M = 0) fall off
-like exp(-(d^2/(ct))^beta), fitted by `gaffney_profile`; the commutator
-transforms g_h and grad L^{-1/2} grow like (t/d^2)^M while Lambda t << d^2,
-the log-log slope `commutator_slope` fits on `commutator_window`.
+E and F disjoint at distance d > 0.  The inputs of every t form one
+block, and each family is evaluated on F alone: g_h takes one heat
+profile of the block at the rows of F (on the eigenbasis, the rows of V
+times one symbol table), the other families index their images at F.
+The Gaffney families (M = 0) fall off like exp(-(d^2/(ct))^beta), fitted
+by `gaffney_profile`; the commutator transforms g_h and grad L^{-1/2}
+grow like (t/d^2)^M while Lambda t << d^2, the log-log slope
+`commutator_slope` fits on `commutator_window`.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, VectorField, lp_norm, restricted_lp_norm
+from .grid import ScalarField, VectorField, lp_norm
 from .operator import DiscreteOperator
 from . import semigroup
-from .functionals import vertical_square_function
+from . import functionals
 
 
 def inv_sqrt_apply(op: DiscreteOperator, f: ScalarField) -> ScalarField:
@@ -75,19 +79,44 @@ def _grad_magnitude(op: DiscreteOperator, t: float, u: np.ndarray) -> np.ndarray
     return math.sqrt(t) * VectorField(op.gradient(u), op.grid).magnitude()
 
 
-# family -> (op, t, f) -> pointwise magnitudes of the family member at time t
+def _at_each_time(member):
+    """The family whose member at time t is member(op, t, f), pointwise
+    magnitudes: column j of the block goes through it at ts[j], read at F."""
+    return lambda op, ts, block, F: np.stack(
+        [member(op, float(t), ScalarField(c, op.grid))[F] for t, c in zip(ts, block.T)], axis=1
+    )
+
+
+def _g_h(op: DiscreteOperator, ts: np.ndarray, block: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """`vertical_square_function` of every column of the block, at F alone:
+    one row-restricted heat profile over the default time grid."""
+    times = semigroup.default_time_grid(op.grid)
+    rows = semigroup.calculus(op).heat_profile(times.samples, block, 1, F)
+    return functionals._log_time_norm(rows, times)
+
+
+# family -> (op, ts, block, F) -> magnitudes on F, shape (|F|, len(ts)), of
+# the family member at ts[j] applied to column j of the block
 _FAMILIES = {
-    "heat": lambda op, t, f: np.abs(semigroup.heat_apply(op, t, f).values),
-    "t_heat_deriv": lambda op, t, f: np.abs(semigroup.calculus(op).heat_poly(1, t, f.values)),
-    "grad_heat": lambda op, t, f: _grad_magnitude(op, t, semigroup.heat_apply(op, t, f).values),
-    "resolvent": lambda op, t, f: np.abs(semigroup.resolvent_apply(op, math.sqrt(t), f).values),
-    "grad_resolvent": lambda op, t, f: _grad_magnitude(
-        op, t, semigroup.resolvent_apply(op, math.sqrt(t), f).values
+    "heat": _at_each_time(lambda op, t, f: np.abs(semigroup.heat_apply(op, t, f).values)),
+    "t_heat_deriv": _at_each_time(
+        lambda op, t, f: np.abs(semigroup.calculus(op).heat_poly(1, t, f.values))
     ),
-    "g_h": lambda op, t, f: vertical_square_function(f, op).values,
+    "grad_heat": _at_each_time(
+        lambda op, t, f: _grad_magnitude(op, t, semigroup.heat_apply(op, t, f).values)
+    ),
+    "resolvent": _at_each_time(
+        lambda op, t, f: np.abs(semigroup.resolvent_apply(op, math.sqrt(t), f).values)
+    ),
+    "grad_resolvent": _at_each_time(
+        lambda op, t, f: _grad_magnitude(
+            op, t, semigroup.resolvent_apply(op, math.sqrt(t), f).values
+        )
+    ),
+    "g_h": _g_h,
     # riesz_apply projects the roundoff-level mean of a commutator image
     # through mean_zero
-    "riesz": lambda op, t, f: riesz_apply(op, f).magnitude(),
+    "riesz": _at_each_time(lambda op, t, f: riesz_apply(op, f).magnitude()),
 }
 
 
@@ -95,7 +124,10 @@ def _decay_norms(
     op: DiscreteOperator, family: str, E: np.ndarray, F: np.ndarray, ts: np.ndarray, M: int = 0
 ) -> tuple[float, np.ndarray]:
     """dist(E, F) and, at each t in ts, the L^2(F) norm of
-    family(t) (I - e^{-tL})^M f, f the L^2-normalized indicator of E."""
+    family(t) (I - e^{-tL})^M f, f the L^2-normalized indicator of E.
+
+    The inputs (I - e^{-tL})^M f of every t form one (N, len(ts)) block,
+    and the family is evaluated on F alone."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     grid = op.grid
@@ -109,14 +141,15 @@ def _decay_norms(
     ind = np.zeros(grid.n_nodes, dtype=complex)
     ind[E] = 1.0
     ind /= lp_norm(ind, grid, 2)
-    norms = np.empty(len(ts))
+    # column-major, so each column is a contiguous vector
+    block = np.empty((grid.n_nodes, len(ts)), dtype=complex, order="F")
     for j, t in enumerate(ts):
-        t = float(t)
         v = ind
         for _ in range(M):
-            v = v - semigroup.heat_apply(op, t, ScalarField(v, grid)).values
-        mag = _FAMILIES[family](op, t, ScalarField(v, grid))
-        norms[j] = restricted_lp_norm(mag, grid, F, 2)
+            v = v - semigroup.heat_apply(op, float(t), ScalarField(v, grid)).values
+        block[:, j] = v
+    mags = _FAMILIES[family](op, ts, block, F)
+    norms = np.array([lp_norm(m, grid, 2) for m in mags.T])
     return dist, norms
 
 

@@ -214,12 +214,19 @@ class KrylovCalculus:
             out = s * self.op.apply(out)
         return out
 
-    def heat_profile(self, ts: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
-        """Columns (t^2 L)^k e^{-t^2 L} v for a vector v; shape (N, len(ts))."""
+    def heat_profile(
+        self, ts: np.ndarray, v: np.ndarray, k: int, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Columns (t^2 L)^k e^{-t^2 L} v over the times ts, at the node
+        indices `rows` (every node when None): shape (R, len(ts)) for a
+        vector v, (R, B, len(ts)) for an (N, B) block, one profile per
+        column.  The full profile is computed, then its rows are taken."""
+        if v.ndim == 2:
+            return np.stack([self.heat_profile(ts, c, k, rows) for c in v.T], axis=1)
         out = self.heat_batch(ts**2, v)
         for _ in range(k):
             out = self.op.apply(out) * (ts**2)[None, :]
-        return out
+        return out if rows is None else out[rows]
 
     def _refuse(self, what: str):
         # a Krylov action's cost grows with its time, and the Poisson rule's
@@ -330,15 +337,17 @@ class DenseCalculus(KrylovCalculus):
         w, self.v, self.vinv = basis
         self.w, self.kernel_mask = _pin_kernel(w, op.kernel_dim)
 
-    def _apply_vals(self, vals: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """V (vals * V^{-1} f): vals of shape (N,) with a vector or a block
-        f, or of shape (N, T) with a vector f."""
+    def _apply_vals(
+        self, vals: np.ndarray, f: np.ndarray, rows: np.ndarray | slice = slice(None)
+    ) -> np.ndarray:
+        """V[rows] (vals * V^{-1} f): vals of shape (N,) with a vector or a
+        block f, or of shape (N, T) with a vector f; every row by default."""
         c = self.vinv @ (f.conj() if self._conj else f)
         if vals.ndim < c.ndim:
             vals = vals[:, None]
         elif c.ndim < vals.ndim:
             c = c[:, None]
-        out = self.v @ ((vals.conj() if self._conj else vals) * c)
+        out = self.v[rows] @ ((vals.conj() if self._conj else vals) * c)
         return out.conj() if self._conj else out
 
     def heat(self, s: float, v: np.ndarray) -> np.ndarray:
@@ -351,6 +360,27 @@ class DenseCalculus(KrylovCalculus):
 
     def heat_poly(self, k: int, s: float, v: np.ndarray) -> np.ndarray:
         return self._apply_vals((s * self.w) ** k * np.exp(-s * self.w), v)
+
+    def heat_profile(
+        self, ts: np.ndarray, v: np.ndarray, k: int, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """As `KrylovCalculus.heat_profile`.  Given rows, the symbol
+        (t^2 w)^k e^{-t^2 w} is tabulated once, shape (N, len(ts)), and
+        only V[rows] multiplies it, one input column at a time, so no
+        (N, B, len(ts)) product is formed.  The full profile keeps
+        `heat_batch` and stencil powers: `perfbench` counts its heat
+        columns until ROADMAP item 1b moves the counts into the package."""
+        if rows is None:
+            return super().heat_profile(ts, v, k)
+        x = np.outer(self.w, ts * ts)
+        symbol = np.negative(x)
+        np.exp(symbol, out=symbol)
+        for _ in range(k):
+            symbol *= x
+        del x  # one (N, T) table lives through the column products
+        if v.ndim == 1:
+            return self._apply_vals(symbol, v, rows)
+        return np.stack([self._apply_vals(symbol, c, rows) for c in v.T], axis=1)
 
     def resolvent(self, s: float, v: np.ndarray) -> np.ndarray:
         """(I + sL)^{-1} v: the symbol 1/(1 + s w), one refinement step,

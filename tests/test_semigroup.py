@@ -26,7 +26,7 @@ from hardy_lab import (
     sqrt_apply,
 )
 from hardy_lab import semigroup
-from hardy_lab.grid import DIRICHLET
+from hardy_lab.grid import DIRICHLET, PERIODIC
 from hardy_lab.semigroup import ConvergenceError, KernelComponentError
 from conftest import mean_zero_field
 
@@ -83,6 +83,13 @@ PARITY = {
     "heat_batch": (lambda c, v: c.heat_batch(np.array([1e-4, 1e-2, 0.1]), v), 1e-8),
     "heat_poly": (lambda c, v: c.heat_poly(2, 0.01, v), 1e-8),
     "heat_profile": (lambda c, v: c.heat_profile(np.array([0.01, 0.1, 0.3]), v, 1), 1e-8),
+    # a two-column block at a scattered row set
+    "heat_profile_rows": (
+        lambda c, v: c.heat_profile(
+            np.array([0.01, 0.1, 0.3]), np.stack([v, v.conj()], axis=1), 2, [37, 2, 50, 11]
+        ),
+        1e-8,
+    ),
     "resolvent": (lambda c, v: c.resolvent(0.01, v), 1e-10),
     "neg_power": (lambda c, v: c.neg_power(2, v), 1e-10),
 }
@@ -121,6 +128,26 @@ def test_adjoint_matches_calculus_of_conjugate_transpose(random_op, backend, met
     star = assemble_operator(random_op.grid, adjoint_coeff)
     direct = apply(getattr(semigroup, backend)(star), v)
     assert np.abs(apply(calc.adjoint(), v) - direct).max() <= 1e-10 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+def test_dense_row_profile_is_rows_of_full_profile(boundary):
+    # the symbol table times V[rows] against heat_batch and stencil powers
+    grid = Grid(2, (12, 12), 1.0 / 12, boundary)
+    op = assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, seed=1))
+    calc = semigroup.DenseCalculus(op)
+    block = np.stack([mean_zero_field(grid, seed=s).values for s in (3, 4)], axis=1)
+    ts = semigroup.default_time_grid(grid).samples
+    rows = np.array([100, 7, 64, 13])
+    # two stencil passes on the full route multiply the roundoff of its
+    # e^{-t^2 L} columns by up to (t^2 rho)^2, which the row route's one
+    # symbol does not: 1e-11 apart at k = 2 on the Dirichlet grid
+    for k, tol in ((0, 1e-12), (1, 1e-12), (2, 1e-10)):
+        full = calc.heat_profile(ts, block, k)
+        got = calc.heat_profile(ts, block, k, rows)
+        assert got.shape == (4, 2, ts.size)
+        assert np.abs(got - full[rows]).max() <= tol * np.abs(full[rows]).max()
+        assert np.array_equal(calc.heat_profile(ts, block[:, 1], k, rows), got[:, 1])
 
 
 def test_failed_eigenbasis_check_selects_krylov(monkeypatch, grid1d, field1d):
