@@ -6,8 +6,8 @@ config and writes CSV/JSON reports into the output directory.  Report
 bodies are byte-stable across runs; wall-clock metadata is quarantined
 in run_metadata.json.
 
-Exit codes: 0 all assertions pass, 2 assertion failure, 3 config error,
-4 numerical non-convergence.
+Exit codes: 0 all assertions pass, 2 assertion failure, 3 config error
+(a command-line usage error among them), 4 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .grid import (
     identity_coefficients,
     lp_norm,
     random_elliptic_coefficients,
+    set_distance,
 )
 from .operator import DiscreteOperator, assemble_operator
 from . import corpus as corpus_mod
@@ -191,8 +192,8 @@ class ExperimentConfig:
             )
         if kind == "file":
             path = spec.get("path")
-            if not path:
-                raise ConfigError("coefficients.path required for kind 'file'")
+            if not path or not isinstance(path, str):  # open() takes an int as a file descriptor
+                raise ConfigError(f"coefficients.path: kind 'file' needs a path, got {path!r}")
             return CoefficientField(self.grid, self._coefficient_file(path))
         raise ConfigError(f"unknown coefficient kind {kind!r}")
 
@@ -281,11 +282,8 @@ def cmd_assemble(cfg: ExperimentConfig) -> None:
     )
     np.save(cfg.out / "coefficients.npy", coeff.matrices)
     cfg.op = op
-    if op.n <= semigroup.AUTO_DENSE_MAX:
-        # the verified eigenbasis, loaded or built and stored for the
-        # commands that follow; eigenvalues alone only if its check failed
-        calc = semigroup.calculus(op)
-        w = calc.w if isinstance(calc, semigroup.DenseCalculus) else semigroup.eigenvalues(op)
+    w = semigroup.spectrum(op)  # its eigenbasis stored for the commands that follow
+    if w is not None:
         order = np.argsort(w.real, kind="stable")
         rows = [(int(i), w[j].real, w[j].imag) for i, j in enumerate(order)]
         serialize.write_csv(cfg.out / "spectrum.csv", ("index", "re", "im"), rows)
@@ -453,15 +451,10 @@ def cmd_bmo(cfg: ExperimentConfig) -> None:
         cfg.out / "bmo.csv", ("field", "variant", "M", "p", "norm"), rows
     )
     rng = np.random.default_rng(cfg.corpus_seed + 1)
-    worst_pair = 0.0
-    for _ in range(cfg.corpus_count):
-        a = rng.normal(size=(2, cfg.grid.n_nodes)) + 1j * rng.normal(size=(2, cfg.grid.n_nodes))
-        a -= a.mean(axis=1, keepdims=True)
-        f = ScalarField(a[0], cfg.grid)
-        g = ScalarField(a[1], cfg.grid)
-        direct = complex((f.values * np.conj(g.values)).sum() * cfg.grid.cell_volume)
-        got = spaces.duality_pair(f, g, op, cfg.M)
-        worst_pair = max(worst_pair, abs(got - direct) / abs(direct))
+    shape = (2, cfg.grid.n_nodes)
+    draws = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(cfg.corpus_count)]
+    pairs = [[ScalarField(v, cfg.grid) for v in a - a.mean(axis=1, keepdims=True)] for a in draws]
+    worst_pair = spaces.duality_error(pairs, op, cfg.M)
     summary = {
         "heat_resolvent_spread": _spread(hr_ratios),
         "john_nirenberg_worst_spread": max(jn_spreads),
@@ -519,7 +512,7 @@ def cmd_riesz(cfg: ExperimentConfig) -> None:
     size = min(cfg.grid.sizes)
     E = np.arange(0, max(size // 10, 2))
     F = np.arange(size // 2 - size // 16, size // 2 + size // 16)
-    t_values = riesz_mod.commutator_window(op, semigroup.set_distance(cfg.grid, E, F))
+    t_values = riesz_mod.commutator_window(op, set_distance(cfg.grid, E, F))
     slope_rows = []
     slope_ok = True
     for M in (1, 2):
@@ -644,8 +637,13 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is a config error, in argparse's words
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hardy-lab",
         description="operator-adapted Hardy/BMO space experiments",
     )
@@ -659,8 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args)
         try:
             cfg.out.mkdir(parents=True, exist_ok=True)

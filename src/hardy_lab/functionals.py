@@ -24,8 +24,6 @@ from .operator import DiscreteOperator
 from . import semigroup
 from .semigroup import TimeGrid
 
-MAXIMAL_KINDS = ("heat", "poisson")
-
 
 @dataclass(frozen=True)
 class ConeSpec:
@@ -63,22 +61,19 @@ def cone_integrate(F: SpaceTimeField, cone: ConeSpec) -> ScalarField:
     return ScalarField(np.sqrt(np.maximum(sums @ weights, 0.0)), grid)
 
 
-def _build_profile(
-    f: ScalarField,
-    op: DiscreteOperator,
-    kind: str,
-    K: int,
-    times: TimeGrid,
-) -> np.ndarray:
-    """Space-time magnitudes for one integrand kind; shape (N, T), real."""
-    if kind == "heat":
-        if K < 1:
-            raise ValueError("need K >= 1")
+def _profile(f: ScalarField, op: DiscreteOperator, kind: str, K: int, times: TimeGrid) -> np.ndarray:
+    """Magnitudes |u(t)| over the time grid, shape (N, T), of one image u of
+    f: (t^2 L)^K e^{-t^2 L} f ("heat", K >= 0), e^{-t sqrt(L)} f ("poisson",
+    K = 0) or t sqrt(L) e^{-t sqrt(L)} f ("poisson_tderiv", K = 1), K the
+    power of t^2 L or of t sqrt(L) that the image carries."""
+    if kind == "heat" and K >= 0:
         return np.abs(semigroup.heat_profile(op, f, times, K))
-    if kind == "poisson_tderiv":
+    if kind == "poisson" and K == 0:
+        return np.abs(semigroup.poisson_profile(op, f, times))
+    if kind == "poisson_tderiv" and K == 1:
         root = semigroup.sqrt_apply(op, f)
         return np.abs(semigroup.poisson_profile(op, root, times)) * times.samples[None, :]
-    raise ValueError(f"unknown kind {kind!r}")
+    raise ValueError(f"no image of kind {kind!r} with power K = {K}")
 
 
 def square_function(
@@ -89,12 +84,13 @@ def square_function(
     K: int = 1,
     times: TimeGrid | None = None,
 ) -> ScalarField:
-    """Cone square function of the heat integrand (t^2 L)^K e^{-t^2 L} f or
-    the Poisson integrand t sqrt(L) e^{-t sqrt(L)} f (kind "poisson_tderiv")."""
+    """Cone square function of the heat integrand (t^2 L)^K e^{-t^2 L} f,
+    K >= 1, or the Poisson integrand t sqrt(L) e^{-t sqrt(L)} f (kind
+    "poisson_tderiv", K = 1)."""
+    if K < 1:
+        raise ValueError("need K >= 1")
     times = times or semigroup.default_time_grid(op.grid)
-    vals = _build_profile(f, op, kind, K, times)
-    F = SpaceTimeField(vals, op.grid, times)
-    return cone_integrate(F, cone)
+    return cone_integrate(SpaceTimeField(_profile(f, op, kind, K, times), op.grid, times), cone)
 
 
 def vertical_square_function(
@@ -103,9 +99,11 @@ def vertical_square_function(
     M: int = 1,
     times: TimeGrid | None = None,
 ) -> ScalarField:
-    """Pointwise dt/t square function g_h, no cone; M is the power of t^2 L."""
+    """Pointwise dt/t square function g_h, no cone; M >= 1 is the power of t^2 L."""
+    if M < 1:
+        raise ValueError("need M >= 1")
     times = times or semigroup.default_time_grid(op.grid)
-    return ScalarField(_log_time_norm(_build_profile(f, op, "heat", M, times), times), op.grid)
+    return ScalarField(_log_time_norm(_profile(f, op, "heat", M, times), times), op.grid)
 
 
 def _log_time_norm(profile: np.ndarray, times: TimeGrid) -> np.ndarray:
@@ -143,24 +141,17 @@ def nontangential_max(
     """Non-tangential maximal function of a semigroup image.
 
     Takes the sup over |x - y| < beta*t of the L^2 ball mean over
-    B(y, beta*t).  M is the power of t^2 L on the heat image; the Poisson
-    image takes none.
+    B(y, beta*t).  M is the power the image carries (see `_profile`): of
+    t^2 L on the heat image, none on the Poisson image.
     """
-    if kind not in MAXIMAL_KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
     if not beta > 0:
         raise ValueError("aperture beta must be positive")
-    if M < 0 or (kind == "poisson" and M):
-        raise ValueError("need M >= 0, and M = 0 for the Poisson image")
     times = times or semigroup.default_time_grid(op.grid)
-    if kind == "heat":
-        prof = semigroup.heat_profile(op, f, times, M)
-    else:
-        prof = semigroup.poisson_profile(op, f, times)
+    prof = _profile(f, op, kind, M, times)
     from scipy import ndimage
 
     grid = op.grid
-    (means,) = _ball_means(grid, beta * times.samples, np.abs(prof) ** 2)
+    (means,) = _ball_means(grid, beta * times.samples, prof**2)
     # The open ball |x - y| < r is the union over row offsets k of boxes of
     # half-height k and the row's half-width.  Rows go farthest first, so a box
     # no wider than one taken lies inside it; wrap mode serves boxes wider than a torus.

@@ -94,6 +94,11 @@ def lattice_distances(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lengths[tuple((x[:, None] - y) % m for x, y, m in zip(ia, ib, lengths.shape))]
 
 
+def set_distance(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
+    """The physical distance between the node sets a and b."""
+    return float(lattice_distances(grid, a, b).min())
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """One complex value per node of ``grid``, flat row-major storage."""
@@ -205,8 +210,10 @@ def random_elliptic_coefficients(
     skew = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
     skew = 0.5 * (skew - np.conj(np.swapaxes(skew, 1, 2)))
     norms = np.linalg.norm(skew, ord=2, axis=(1, 2))
-    scale = 0.2 * gap * rng.uniform(0.0, 1.0, size=n) / np.maximum(norms, 1e-300)
-    a = herm + skew * scale[:, None, None]
+    # near the float range scale overflows, and CoefficientField refuses the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = 0.2 * gap * rng.uniform(0.0, 1.0, size=n) / np.maximum(norms, 1e-300)
+        a = herm + skew * scale[:, None, None]
     return CoefficientField(grid, a)
 
 

@@ -32,6 +32,7 @@ from .grid import (
     CoefficientField,
     Grid,
     GridError,
+    NonEllipticError,
     check_ellipticity,
 )
 
@@ -202,20 +203,22 @@ def assemble_operator(grid: Grid, coeff: CoefficientField) -> DiscreteOperator:
     zero = (0,) * grid.dim
     inv_h = 1.0 / grid.spacing
     terms: dict = {}
-    for a, b in itertools.product(range(grid.dim), repeat=2):
-        # (S_a^T - I) diag(t) (S_b - I) with t = A_ab / h^2, each entry rounded
-        # as the sparse product G_a^H diag(A_ab) G_b rounds it: 1/h, A_ab(x)
-        # and 1/h multiplied in turn, the term's diagonal summed first, then
-        # the terms summed in the order of (a, b)
-        t = (coeff.matrices[:, a, b].reshape(grid.sizes) * inv_h) * inv_h
-        back = _shifted(grid, t, offset(-unit[a]))
-        parts = [(offset(-unit[a]), -back), (offset(unit[b]), -t)]
-        if a == b:
-            parts.append((zero, t + back))
-        else:
-            parts += [(zero, t), (offset(unit[b] - unit[a]), back)]
-        for k, val in parts:
-            terms[k] = terms[k] + val if k in terms else val
+    # a stencil past the float range is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in itertools.product(range(grid.dim), repeat=2):
+            # (S_a^T - I) diag(t) (S_b - I) with t = A_ab / h^2, each entry rounded
+            # as the sparse product G_a^H diag(A_ab) G_b rounds it: 1/h, A_ab(x)
+            # and 1/h multiplied in turn, the term's diagonal summed first, then
+            # the terms summed in the order of (a, b)
+            t = (coeff.matrices[:, a, b].reshape(grid.sizes) * inv_h) * inv_h
+            back = _shifted(grid, t, offset(-unit[a]))
+            parts = [(offset(-unit[a]), -back), (offset(unit[b]), -t)]
+            if a == b:
+                parts.append((zero, t + back))
+            else:
+                parts += [(zero, t), (offset(unit[b] - unit[a]), back)]
+            for k, val in parts:
+                terms[k] = terms[k] + val if k in terms else val
     stencil = {}
     for k in sorted(terms):  # offsets in {-1, 0, 1}^dim: flat-index order
         c = terms[k]
@@ -223,5 +226,7 @@ def assemble_operator(grid: Grid, coeff: CoefficientField) -> DiscreteOperator:
             c = np.where(_shifted(grid, np.ones(grid.sizes, dtype=bool), k), c, 0.0)
         if np.any(c):
             stencil[k] = c
+    if not all(np.isfinite(c).all() for c in stencil.values()):
+        raise NonEllipticError(f"the stencil A/h^2 of L overflows at spacing {grid.spacing!r}")
     kernel_dim = 1 if grid.boundary == PERIODIC else 0
     return DiscreteOperator(grid, kernel_dim, stencil, _sector(coeff.matrices))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, VectorField, lp_norm
+from .grid import ScalarField, VectorField, lp_norm, set_distance
 from .operator import DiscreteOperator
 from . import semigroup
 from . import functionals
@@ -95,8 +95,8 @@ def _g_h(op: DiscreteOperator, ts: np.ndarray, block: np.ndarray, F: np.ndarray)
     return functionals._log_time_norm(rows, times)
 
 
-# family -> (op, ts, block, F) -> magnitudes on F, shape (|F|, len(ts)), of
-# the family member at ts[j] applied to column j of the block
+# family -> (op, ts, block, F) -> magnitudes on F, shape (|F|, len(ts)), of the
+# family member, a function of tL, at ts[j] applied to column j of the block
 _FAMILIES = {
     "heat": _at_each_time(lambda op, t, f: np.abs(semigroup.heat_apply(op, t, f).values)),
     "t_heat_deriv": _at_each_time(
@@ -106,12 +106,10 @@ _FAMILIES = {
         lambda op, t, f: _grad_magnitude(op, t, semigroup.heat_apply(op, t, f).values)
     ),
     "resolvent": _at_each_time(
-        lambda op, t, f: np.abs(semigroup.resolvent_apply(op, math.sqrt(t), f).values)
+        lambda op, t, f: np.abs(semigroup.calculus(op).resolvent(t, f.values))
     ),
     "grad_resolvent": _at_each_time(
-        lambda op, t, f: _grad_magnitude(
-            op, t, semigroup.resolvent_apply(op, math.sqrt(t), f).values
-        )
+        lambda op, t, f: _grad_magnitude(op, t, semigroup.calculus(op).resolvent(t, f.values))
     ),
     "g_h": _g_h,
     # riesz_apply projects the roundoff-level mean of a commutator image
@@ -135,7 +133,7 @@ def _decay_norms(
     F = np.asarray(F, dtype=int)
     if np.intersect1d(E, F).size:
         raise ValueError("E and F must be disjoint")
-    dist = semigroup.set_distance(grid, E, F)
+    dist = set_distance(grid, E, F)
     if dist <= 0:
         raise ValueError("E and F must have positive distance")
     ind = np.zeros(grid.n_nodes, dtype=complex)

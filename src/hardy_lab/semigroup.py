@@ -28,8 +28,8 @@ build here would produce.  A loaded basis passes the same reconstruction
 check as a built one; an entry that is missing, unreadable or fails the
 check is rebuilt and replaced, and an unwritable directory only means
 nothing is kept.  The directory is held under CACHE_MAX_BYTES by
-deleting the least recently used entries.  `eigenvalues`, the fallback
-for a basis that fails its check, neither reads nor writes it.
+deleting the least recently used entries.  A basis that fails its check
+is not kept; `spectrum` reads its eigenvalues off the Krylov fallback.
 
 Functions of sqrt(L) are evaluated on the eigenbasis only.  L^{1/2} and
 L^{-1/2} are the principal z^{1/2} and z^{-1/2} on the eigenvalues, the
@@ -63,7 +63,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .grid import Grid, GridError, ScalarField, lattice_distances
+from .grid import Grid, GridError, ScalarField
 from .operator import DiscreteOperator
 
 AUTO_DENSE_MAX = 1024
@@ -158,12 +158,16 @@ def tail_window(
     log t the integrand is analytic on a strip of half-width
     (pi/2 - |arg lambda|)/2 and the trapezoid error decays like
     exp(-2 pi width / step), so on a wider sector (`op.sector` bounds
-    |arg lambda|) the step shrinks in proportion to the strip.
+    |arg lambda|) the step shrinks in proportion to the strip.  A spectrum
+    so small that t_min reaches t_max raises ConvergenceError.
     """
     x = (2 * power * tail / constant) ** (1.0 / power)
     if op.sector > math.pi / 4:
         count = 1 + math.ceil((count - 1) * (math.pi / 4) / (math.pi / 2 - op.sector))
-    return TimeGrid(math.sqrt(x / op.gershgorin_bound), t_max, count)
+    t_min = math.sqrt(x / op.gershgorin_bound)
+    if not t_min < t_max:
+        raise ConvergenceError(f"tail {tail:g} needs t_min {t_min:.3g} below t_max {t_max:.3g}")
+    return TimeGrid(t_min, t_max, count)
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +188,16 @@ class KrylovCalculus:
     per shift and kept for the life of the instance; on periodic grids the
     negative powers factorize L bordered by the constants, which keeps the
     pinned matrix sparse; functions of sqrt(L) are refused.  Inputs are a
-    vector or, where stated, a block of columns.
+    vector or, where stated, a block of columns.  `w` holds the eigenvalues
+    of L, kernel pinned, of an eigenbasis that failed its check (see
+    `calculus`), and is None where none was built.
     """
 
-    def __init__(self, op: DiscreteOperator):
+    def __init__(self, op: DiscreteOperator, w: np.ndarray | None = None):
         # a twin sharing op's stencil, not op itself, so the weakly keyed
         # cache can drop op
         self.op = dataclasses.replace(op)
-        self.kernel_dim, self.n = op.kernel_dim, op.n
+        self.kernel_dim, self.n, self.w = op.kernel_dim, op.n, w
         self._lu: dict = {}
 
     def heat(self, s: float, v: np.ndarray) -> np.ndarray:
@@ -228,22 +234,15 @@ class KrylovCalculus:
             out = self.op.apply(out) * (ts**2)[None, :]
         return out if rows is None else out[rows]
 
-    def _refuse(self, what: str):
-        # a Krylov action's cost grows with its time, and the Poisson rule's
-        # heat times reach ~1e16 t^2; z^{+-1/2} have no heat-type route here
-        raise ConvergenceError(f"{what} needs the eigenbasis; n = {self.n} is served by Krylov")
+    def poisson(self, *args) -> np.ndarray:
+        """Refuses e^{-t sqrt(L)} v, L^{1/2} v and L^{-1/2} v: a Krylov
+        action's cost grows with its time, the Poisson rule's heat times
+        reach ~1e16 t^2, and z^{+-1/2} have no heat-type route here."""
+        raise ConvergenceError(
+            f"functions of sqrt(L) need the eigenbasis; n = {self.n} is served by Krylov"
+        )
 
-    def poisson(self, t: float, v: np.ndarray) -> np.ndarray:
-        """Refuses e^{-t sqrt(L)} v."""
-        self._refuse("the Poisson semigroup")
-
-    def sqrt(self, v: np.ndarray) -> np.ndarray:
-        """Refuses L^{1/2} v."""
-        self._refuse("L^{1/2}")
-
-    def inv_sqrt(self, v: np.ndarray) -> np.ndarray:
-        """Refuses L^{-1/2} v."""
-        self._refuse("L^{-1/2}")
+    sqrt = inv_sqrt = poisson
 
     def resolvent(self, s: float, v: np.ndarray) -> np.ndarray:
         """(I + sL)^{-1} v by sparse direct solve, residual-checked."""
@@ -290,6 +289,7 @@ class KrylovCalculus:
         adj = copy.copy(self)
         adj.op = self.op.adjoint()
         adj._lu = {}
+        adj.w = None if self.w is None else self.w.conj()
         return adj
 
 
@@ -303,7 +303,8 @@ class DenseCalculus(KrylovCalculus):
     reconstructs e^{-t0 L} to 1e-10 in the relative Frobenius norm, as
     certified by an upper bound on that error from the residuals
     L V - V W and V V^{-1} - I (`_reconstruction_error`), so every
-    instance has passed the check in its own process.  `source` says
+    instance has passed the check in its own process; the error carries
+    the built eigenvalues, kernel pinned, as `w`.  `source` says
     where the basis came from ("built" or "cache"), next to
     `reconstruction_error` (that bound) and `cache_key`.  V, V^{-1} and w
     are the only N x N state.  Functions of L are evaluated on the
@@ -330,7 +331,9 @@ class DenseCalculus(KrylovCalculus):
             basis = _build_eigenbasis(op)
             err = _reconstruction_error(op, *basis)
             if not err < 1e-10:
-                raise ConvergenceError(f"eigenbasis reconstruction error {err:.2e} exceeds 1e-10")
+                exc = ConvergenceError(f"eigenbasis reconstruction error {err:.2e} exceeds 1e-10")
+                exc.w = _pin_kernel(basis[0], op.kernel_dim)[0]
+                raise exc
             self.source = "built"
             _store_eigenbasis(path, basis)
         self.reconstruction_error = err
@@ -437,7 +440,7 @@ class DenseCalculus(KrylovCalculus):
         transposition leaves the reconstruction error unchanged.
         """
         adj = super().adjoint()
-        adj.w, adj.v, adj.vinv = self.w.conj(), self.vinv.T, self.v.T
+        adj.v, adj.vinv = self.vinv.T, self.v.T
         adj._conj = not self._conj
         return adj
 
@@ -615,15 +618,6 @@ def _pin_kernel(w: np.ndarray, kernel_dim: int) -> tuple[np.ndarray, np.ndarray]
     return (np.where(mask, 0.0, w) if kernel_dim else w), mask
 
 
-def eigenvalues(op: DiscreteOperator) -> np.ndarray:
-    """The eigenvalues of L, kernel pinned as in DenseCalculus, with no
-    eigenvectors, inverse or reconstruction check: the spectrum where the
-    eigenbasis failed its check and `calculus` fell back to Krylov."""
-    import scipy.linalg
-
-    return _pin_kernel(scipy.linalg.eigvals(op.toarray()), op.kernel_dim)[0]
-
-
 _CALCULI: "weakref.WeakKeyDictionary[DiscreteOperator, KrylovCalculus]" = (
     weakref.WeakKeyDictionary()
 )
@@ -654,13 +648,21 @@ def calculus_summary(op: DiscreteOperator) -> dict | None:
     }
 
 
+def spectrum(op: DiscreteOperator) -> np.ndarray | None:
+    """The eigenvalues of L, kernel pinned, up to AUTO_DENSE_MAX nodes:
+    those of the eigenbasis serving op, or of the one that failed its check
+    and left op to Krylov.  None past that size, where nothing is built."""
+    return calculus(op).w if op.n <= AUTO_DENSE_MAX else None
+
+
 def _choose_calculus(op: DiscreteOperator) -> KrylovCalculus:
+    w = None
     if op.n <= AUTO_DENSE_MAX:
         try:
             return DenseCalculus(op)
-        except ConvergenceError:
-            pass
-    return KrylovCalculus(op)
+        except ConvergenceError as exc:
+            w = exc.w
+    return KrylovCalculus(op, w)
 
 
 def _check_field(op: DiscreteOperator, f: ScalarField) -> np.ndarray:
@@ -769,8 +771,3 @@ def poisson_profile(op: DiscreteOperator, f: ScalarField, times: TimeGrid) -> np
     """Columns e^{-t sqrt(L)} f over the time grid; shape (N, T)."""
     cols = [poisson_apply(op, float(t), f).values for t in times.samples]
     return np.stack(cols, axis=1)
-
-
-def set_distance(grid: Grid, E: np.ndarray, F: np.ndarray) -> float:
-    """The lattice distance between two node sets."""
-    return float(lattice_distances(grid, E, F).min())

@@ -246,6 +246,16 @@ def duality_pair(f: ScalarField, g: ScalarField, op: DiscreteOperator, M: int = 
     return complex(duality_constant(M) * (integrand @ times.log_weights))
 
 
+def duality_error(pairs, op: DiscreteOperator, M: int = 1) -> float:
+    """The worst relative error of `duality_pair` against the direct inner
+    product sum f conj(g) h^d over the (f, g) pairs of fields."""
+    worst = 0.0
+    for f, g in pairs:
+        direct = complex((f.values * np.conj(g.values)).sum() * op.grid.cell_volume)
+        worst = max(worst, abs(duality_pair(f, g, op, M) - direct) / max(abs(direct), 1e-300))
+    return worst
+
+
 @dataclass(frozen=True, eq=False)
 class JohnNirenbergReport:
     norms: dict  # p -> BMO_L^p norm

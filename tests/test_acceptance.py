@@ -34,8 +34,9 @@ from hardy_lab import (
     vertical_square_function,
 )
 from hardy_lab import corpus as corpus_mod
-from hardy_lab import heat_apply, oracle_suite, semigroup
+from hardy_lab import heat_apply, oracle_suite
 from hardy_lab.functionals import ConeSpec
+from hardy_lab.grid import set_distance
 from hardy_lab.riesz import commutator_slope
 
 
@@ -262,7 +263,7 @@ def test_criterion_8_riesz(capsys, lab):
     rep = riesz_h1_experiment(mols, op)
     E = np.arange(0, 6)
     F = np.arange(28, 36)
-    d = semigroup.set_distance(op.grid, E, F)
+    d = set_distance(op.grid, E, F)
     ts = np.geomspace(1e-4 * d * d, 1e-2 * d * d, 6)
     slopes = {}
     slopes_ok = True

@@ -240,7 +240,10 @@ def test_assemble_falls_back_to_eigenvalues_when_the_check_fails(
     rows = serialize.read_csv(reports / "spectrum.csv")[1]
     grid = Grid(1, (64,), 1.0 / 64)
     op = assemble_operator(grid, identity_coefficients(grid))
-    assert rows == spectrum_rows(semigroup.eigenvalues(op))
+    # the eigenvalues of the build that failed its check, kernel pinned: no
+    # second eigendecomposition
+    w = semigroup._pin_kernel(semigroup._build_eigenbasis(op)[0], op.kernel_dim)[0]
+    assert rows == spectrum_rows(w)
     meta = json.loads((reports / "run_metadata.json").read_text())
     assert meta["calculus"] == {"backend": "krylov"}
     assert not list(eigenbasis_cache.glob("*.eig"))  # a failed basis is not kept
@@ -311,12 +314,57 @@ def test_non_dyadic_decompose_grid_is_config_error(tmp_path, capsys):
         ("assemble", {"times": {"t_min": True}}),
         ("assemble", {"grid": {"sizes": [16], "spacing": True}}),
         ("report", {"out": 5}),
+        ("bmo --seed abc", {}),
+        ("bmo", {"grid": {"sizes": [16], "spacing": 1e-160}}),
+        ("assemble", {"grid": {"sizes": [16]}, "coefficients": {"kind": "random", "Lam": 1e308}}),
+        ("assemble", {"coefficients": {"kind": "random", "Lam": 1e308}}),
+        ("no_such_command", {}),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, command, extra):
     cfg = write_config(tmp_path, **extra)
-    code = cli.main(command.split() + ["--config", str(cfg)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow is refused, not warned about
+        code = cli.main(command.split() + ["--config", str(cfg)])
     assert_one_line_config_error(capsys, code)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0 and "usage: hardy-lab" in capsys.readouterr().out
+
+
+def run_cli(tmp_path, *argv):
+    """The exit code and stderr of the CLI run as a child process."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-m", "hardy_lab.cli", *argv],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    return run.returncode, run.stderr
+
+
+@pytest.mark.parametrize("path", [1, 2, True], ids=["stdout", "stderr", "true"])
+def test_coefficient_path_must_be_a_string(tmp_path, path):
+    # in a child: open() takes an int as a file descriptor, and closing fd 2
+    # here would close the test process's own stderr
+    cfg = write_config(tmp_path, coefficients={"kind": "file", "path": path})
+    code, err = run_cli(tmp_path, "assemble", "--config", str(cfg))
+    assert code == cli.EXIT_CONFIG
+    assert err == f"config error: coefficients.path: kind 'file' needs a path, got {path!r}\n"
+
+
+def test_window_past_its_tail_bound_is_non_convergence(tmp_path, capsys):
+    # a spectrum so small that tail_window's t_min lies beyond t_max
+    coeff = {"kind": "random", "lam": 1e-300, "Lam": 1e-300}
+    cfg = write_config(tmp_path, grid={"sizes": [16]}, coefficients=coeff)
+    code = cli.main(["bmo", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NONCONVERGENCE
+    assert err.startswith("non-convergence: ") and err.count("\n") == 1
+    assert "t_min" in err and "t_max" in err and "tail" in err
 
 
 @pytest.mark.parametrize(

@@ -20,10 +20,10 @@ from hardy_lab import (
     sqrt_apply,
     vertical_square_function,
 )
-from hardy_lab.grid import DIRICHLET, PERIODIC
+from hardy_lab.grid import DIRICHLET, PERIODIC, set_distance
 from hardy_lab.oracle_suite import _inv_sqrt_by_sqrtm
 from hardy_lab.riesz import _decay_norms, commutator_slope, commutator_window
-from hardy_lab.semigroup import KernelComponentError, set_distance
+from hardy_lab.semigroup import KernelComponentError
 from conftest import mean_zero_field
 
 
@@ -98,8 +98,6 @@ def test_commutator_window_is_fixed_for_identity(sizes, boundary):
 def test_commutator_slope_near_order(op1d):
     E = np.arange(0, 6)
     F = np.arange(28, 36)
-    from hardy_lab.semigroup import set_distance
-
     d = set_distance(op1d.grid, E, F)
     ts = np.geomspace(1e-4 * d * d, 1e-2 * d * d, 5)
     slope = commutator_slope(op1d, "g_h", 1, E, F, ts)

@@ -408,6 +408,17 @@ def test_subordination_rule_matches_scalar_exponential():
             assert approx == pytest.approx(np.exp(-t * np.sqrt(lam)), abs=1e-8)
 
 
+def test_spectrum_is_the_eigenbasis_up_to_the_dense_size(grid1d, monkeypatch):
+    coeff = random_elliptic_coefficients(grid1d, 0.5, 2.0, seed=4)
+    op = assemble_operator(grid1d, coeff)
+    assert np.array_equal(semigroup.spectrum(op), semigroup.DenseCalculus(op).w)
+    # past the size nothing is built, so no calculus is cached for op
+    monkeypatch.setattr(semigroup, "AUTO_DENSE_MAX", op.n - 1)
+    fresh = assemble_operator(grid1d, coeff)
+    assert semigroup.spectrum(fresh) is None
+    assert fresh not in semigroup._CALCULI
+
+
 @pytest.mark.parametrize("method", sorted(SQRT_FUNCTIONS))
 def test_krylov_poisson_raises_at_once(op1d_random, field1d, method):
     # the Poisson rule's heat times (~1e16 t^2) are out of Krylov reach, and
