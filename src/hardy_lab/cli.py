@@ -421,10 +421,12 @@ def cmd_validate(cfg: ExperimentConfig) -> None:
         raise AssertionFailure("a molecule failed its annular decay bounds")
 
 
-def _spread(values: list) -> float:
+def _spread(label: str, values: list) -> float:
+    """max / min of the positive values; a check with none of them checks
+    nothing, so it does not pass."""
     pos = [v for v in values if v > 0]
     if not pos:
-        return 1.0
+        raise semigroup.ConvergenceError(f"{label}: no positive value to compare")
     return max(pos) / min(pos)
 
 
@@ -446,7 +448,7 @@ def cmd_bmo(cfg: ExperimentConfig) -> None:
             hr_ratios.append(heat / reso)
         for p, val in sorted(jn.norms.items()):
             rows.append((idx, "p", cfg.M, p, val))
-        jn_spreads.append(_spread(list(jn.norms.values())))
+        jn_spreads.append(_spread("BMO^p spread", list(jn.norms.values())))
     serialize.write_csv(
         cfg.out / "bmo.csv", ("field", "variant", "M", "p", "norm"), rows
     )
@@ -456,7 +458,7 @@ def cmd_bmo(cfg: ExperimentConfig) -> None:
     pairs = [[ScalarField(v, cfg.grid) for v in a - a.mean(axis=1, keepdims=True)] for a in draws]
     worst_pair = spaces.duality_error(pairs, op, cfg.M)
     summary = {
-        "heat_resolvent_spread": _spread(hr_ratios),
+        "heat_resolvent_spread": _spread("heat/resolvent BMO spread", hr_ratios),
         "john_nirenberg_worst_spread": max(jn_spreads),
         "duality_worst_relative_error": worst_pair,
     }
@@ -492,7 +494,7 @@ def cmd_carleson(cfg: ExperimentConfig) -> None:
         ("field", "carleson_norm", "bmo_heat", "carleson_over_bmo_sq"),
         rows,
     )
-    spread = _spread(ratios)
+    spread = _spread("carleson/bmo^2 spread", ratios)
     serialize.write_json(cfg.out / "carleson_summary.json", {"ratio_spread": spread})
     print(f"carleson/bmo^2 spread {spread:.3g} over {len(ratios)} fields")
     if spread > cfg.tolerances["spread"]:

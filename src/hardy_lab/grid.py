@@ -264,7 +264,7 @@ class Cube:
         flat = np.zeros((), dtype=int)
         for a, size in enumerate(self.grid.sizes):
             flat = np.add.outer(flat * size, self._axis_nodes(a, self.anchor[a], self.nnodes))
-        return np.unique(flat)
+        return np.sort(flat, axis=None)  # the axes' nodes are distinct
 
     def annulus_labels(self) -> np.ndarray:
         """Per node, the i of the annulus S_i = 2^i Q minus 2^(i-1) Q (S_0 = Q)

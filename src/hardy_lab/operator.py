@@ -12,11 +12,13 @@ the lattice offsets k, each c_k an array of the grid's shape.  Each term
 gives the offsets 0, e_b - e_a, -e_a and e_b: 3 offsets in 1D, 7 in 2D.  On
 a torus the offsets wrap; on a Dirichlet grid a neighbour past the edge is
 a zero ghost value, so c_k(x) is 0 wherever x + k is off the grid, and the
-wrapped pieces are never read.  `DiscreteOperator` applies L, L^H and G by
-slicing the grid-shaped view of its input, so only numpy runs; the scipy
-CSR matrix is built from the same entries on first access to `matrix`, for
-the sparse LU and Krylov routes and for the oracle suite.  This module is
-the only one that knows the stencil format.
+wrapped values are never read.  `DiscreteOperator` applies L through one
+neighbour table, the flat index of x + k for each node x and offset k (x
+itself where x + k is off a Dirichlet grid, as c_k(x) is 0 there), so only
+numpy runs; G is applied by slicing the grid-shaped view of its input.
+`toarray` and the scipy CSR matrix, built on first access to `matrix` for
+the sparse LU and Krylov routes and for the oracle suite, read the same
+table.  This module is the only one that knows the stencil format.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ from .grid import (
     NonEllipticError,
     check_ellipticity,
 )
+
+
+# entries per step of `DiscreteOperator.apply`: an (N, m) block is taken
+# max(1, _APPLY_ENTRIES // m) rows at a time, so the temporaries of a step
+# (128 KiB each) stay in cache
+_APPLY_ENTRIES = 8192
 
 
 def _pieces(grid: Grid, k: tuple[int, ...]) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
@@ -90,12 +98,12 @@ class DiscreteOperator:
     """L as its lattice stencil (see the module docstring).
 
     `stencil` maps each offset k to c_k, in the order of the offset's flat
-    index, so that a node away from the edges sums its terms in the column
-    order of a CSR row.  `sector` is the half-angle of a sector
-    |arg z| <= sector that holds the numerical range of L, and so its
-    spectrum: <Lu, u> sums xi^H A(x) xi over the cells, xi the gradient of
-    u there, so it is the largest half-angle of the numerical ranges of the
-    cellwise A(x).  It is at most arccos(lambda / Lambda).
+    index: away from the edges, the column order of a CSR row.  `sector` is
+    the half-angle of a sector |arg z| <= sector that holds the numerical
+    range of L, and so its spectrum: <Lu, u> sums xi^H A(x) xi over the
+    cells, xi the gradient of u there, so it is the largest half-angle of
+    the numerical ranges of the cellwise A(x).  It is at most
+    arccos(lambda / Lambda).
     """
 
     grid: Grid
@@ -107,22 +115,43 @@ class DiscreteOperator:
     def n(self) -> int:
         return self.grid.n_nodes
 
-    @functools.cached_property
-    def _plan(self) -> list:
-        return [(c, _pieces(self.grid, k)) for k, c in self.stencil.items()]
+    def __post_init__(self):
+        # the neighbour table: the (N, K) flat indices of x + k over the K
+        # offsets k of the stencil (x itself where x + k is off the grid) and
+        # the (N, K) coefficients c_k(x); the stencil's arrays become views
+        # of the table, so the coefficients are held once
+        index = np.arange(self.n, dtype=np.min_scalar_type(self.n - 1)).reshape(self.grid.sizes)
+        on_grid = np.ones(self.grid.sizes, dtype=bool)
+        nb = np.stack(
+            [
+                np.where(_shifted(self.grid, on_grid, k), _shifted(self.grid, index, k), index).ravel()
+                for k in self.stencil
+            ],
+            axis=1,
+        )
+        coef = np.stack([c.ravel() for c in self.stencil.values()], axis=1)
+        views = {k: coef[:, j].reshape(self.grid.sizes) for j, k in enumerate(self.stencil)}
+        object.__setattr__(self, "stencil", views)
+        object.__setattr__(self, "_table", (nb, coef))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """L x for a vector or an (N, m) block of columns, any strides."""
-        u = x.reshape(self.grid.sizes + x.shape[1:])
-        out = np.zeros(u.shape, dtype=np.result_type(u, complex))
-        tmp = np.empty_like(out)
-        tail = (1,) * (x.ndim - 1)
-        for c, pieces in self._plan:
-            c = c.reshape(c.shape + tail)
-            for dst, src in pieces:
-                t = tmp[dst]
-                np.multiply(c[dst], u[src], out=t)
-                out[dst] += t
+        """L x for a vector or an (N, m) block of columns, any strides.
+
+        The rows go max(1, _APPLY_ENTRIES // m) at a time: each row sums
+        its neighbours' values, gathered through the neighbour table, times
+        the coefficients, one offset after another in stencil order.  Each
+        entry is summed by elementwise operations in that one order, so its
+        bits do not depend on the block or view its column arrives in."""
+        nb, coef = self._table
+        cols = x[:, None] if x.ndim == 1 else x
+        out = np.empty(cols.shape, dtype=np.result_type(x, complex))
+        step = max(1, _APPLY_ENTRIES // max(cols.shape[1], 1))
+        for lo in range(0, self.n, step):
+            idx, c = nb[lo : lo + step], coef[lo : lo + step, :, None]
+            acc = out[lo : lo + step]
+            np.multiply(c[:, 0], cols[idx[:, 0]], out=acc)
+            for j in range(1, idx.shape[1]):
+                acc += c[:, j] * cols[idx[:, j]]
         return out.reshape(x.shape)
 
     def adjoint(self) -> "DiscreteOperator":
@@ -161,14 +190,13 @@ class DiscreteOperator:
         return float((centre - radius / 2).min())
 
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows, columns and values of the entries of L, zeros included."""
-        index = np.arange(self.n).reshape(self.grid.sizes)
-        parts = [
-            (index[dst].ravel(), index[src].ravel(), c[dst].ravel())
-            for c, pieces in self._plan
-            for dst, src in pieces
-        ]
-        return tuple(np.concatenate(p) for p in zip(*parts))
+        """Rows, columns and values of the entries of L, zeros included,
+        read off the neighbour table without its off-grid entries."""
+        nb, coef = self._table
+        rows = np.repeat(np.arange(self.n, dtype=nb.dtype), nb.shape[1]).reshape(nb.shape)
+        # only an off-grid neighbour other than x + 0 indexes x itself
+        keep = (nb != rows) | np.array([not any(k) for k in self.stencil])
+        return rows[keep], nb[keep], coef[keep]
 
     def toarray(self) -> np.ndarray:
         """L as a dense N x N array."""

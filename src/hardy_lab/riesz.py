@@ -131,7 +131,9 @@ def _decay_norms(
     grid = op.grid
     E = np.asarray(E, dtype=int)
     F = np.asarray(F, dtype=int)
-    if np.intersect1d(E, F).size:
+    in_e = np.zeros(grid.n_nodes, dtype=bool)
+    in_e[E] = True
+    if in_e[F].any():  # np.intersect1d would import numpy.ma
         raise ValueError("E and F must be disjoint")
     dist = set_distance(grid, E, F)
     if dist <= 0:

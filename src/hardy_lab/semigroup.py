@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import dataclasses
 import hashlib
 import importlib
 import math
@@ -194,9 +193,9 @@ class KrylovCalculus:
     """
 
     def __init__(self, op: DiscreteOperator, w: np.ndarray | None = None):
-        # a twin sharing op's stencil, not op itself, so the weakly keyed
-        # cache can drop op
-        self.op = dataclasses.replace(op)
+        # a shallow twin sharing op's stencil and neighbour table, not op
+        # itself, so the weakly keyed cache can drop op
+        self.op = copy.copy(op)
         self.kernel_dim, self.n, self.w = op.kernel_dim, op.n, w
         self._lu: dict = {}
 
@@ -560,7 +559,7 @@ def _evict(root: Path) -> None:
 
 # columns per block of the reconstruction check: its working arrays are
 # N x _CHECK_BLOCK, not N x N
-_CHECK_BLOCK = 64
+_CHECK_BLOCK = 128
 
 
 def _reconstruction_error(
@@ -585,23 +584,34 @@ def _reconstruction_error(
     Hermitian part (L + L^H)/2, here by Gershgorin, and
     b = e^{t0 max(0, -min Re w)}.  So the bound is never below the error it
     bounds.  The residuals are summed over all N columns, _CHECK_BLOCK at a
-    time: one stencil product and one N x N x _CHECK_BLOCK product a block.
+    time: one stencil product and one N x N x _CHECK_BLOCK product a block,
+    each through one reused N x _CHECK_BLOCK buffer.
     """
     t0 = 1.0 / (float(np.abs(w).max()) + 1.0)
-    norm2 = math.sqrt(op.norm_1 * op.gershgorin_bound)
+    norm_inf = op.gershgorin_bound
+    norm2 = math.sqrt(op.norm_1) * math.sqrt(norm_inf)  # the product may overflow
     mu = op.hermitian_lower_bound
     # log of a / e^{-t0 ||L||_2}; t0 |w| < 1 keeps b below e
     growth = t0 * (max(0.0, -mu) + norm2)
     b = math.exp(t0 * max(0.0, -float(w.real.min())))
+    # E1 is summed on V / 2^e with 2^e ~ max(||L||_inf, 1): an exact scaling,
+    # so a finite stencil too large to square cannot overflow it
+    scale = math.ldexp(1.0, -max(0, math.frexp(norm_inf)[1]))
+    buf = np.empty(w.size * _CHECK_BLOCK, dtype=complex)
     e1 = e2 = 0.0
     for lo in range(0, w.size, _CHECK_BLOCK):
         hi = min(lo + _CHECK_BLOCK, w.size)
-        block = v[:, lo:hi]
-        e1 += float(np.linalg.norm(op.apply(block) - block * w[lo:hi])) ** 2
-        prod = v @ vinv[:, lo:hi]
+        prod = buf[: w.size * (hi - lo)].reshape(w.size, hi - lo)  # contiguous
+        np.multiply(v[:, lo:hi], scale, out=prod)
+        resid = op.apply(prod)
+        prod *= w[lo:hi]
+        resid -= prod
+        e1 += float(np.vdot(resid, resid).real)
+        del resid
+        np.matmul(v, vinv[:, lo:hi], out=prod)
         prod[np.arange(lo, hi), np.arange(hi - lo)] -= 1.0
-        e2 += float(np.linalg.norm(prod)) ** 2
-    err = t0 * b * math.sqrt(e1 * np.vdot(vinv, vinv).real) + math.sqrt(e2)
+        e2 += float(np.vdot(prod, prod).real)
+    err = t0 / scale * b * math.sqrt(e1 * float(np.vdot(vinv, vinv).real)) + math.sqrt(e2)
     # past e^700 the factor overflows, and no roundoff-level residual passes
     return math.inf if growth > 700 else err * math.exp(growth) / math.sqrt(w.size)
 

@@ -137,8 +137,9 @@ def _cube_sup(osc: dict, grid: Grid, ps: tuple) -> dict:
     for m, nodes, n_nodes, _ in _level_tables(grid):
         ell = m * grid.spacing
         a = np.abs(osc[ell])
-        # rows of one length, so each sum runs in the order of a 1D lp_norm
-        rows = [a[nodes[n_nodes == n, :n]] for n in np.unique(n_nodes)]
+        # rows of one length, so each sum runs in the order of a 1D lp_norm;
+        # np.unique would import numpy.ma
+        rows = [a[nodes[n_nodes == n, :n]] for n in sorted(set(n_nodes.tolist()))]
         for p, sups in best.items():
             sums = np.concatenate([(r**p).sum(axis=1) for r in rows])
             mean = float(sums.max() ** (1.0 / p) * grid.cell_volume ** (1.0 / p))

@@ -335,12 +335,13 @@ def test_help_exits_zero(capsys):
     assert exc.value.code == 0 and "usage: hardy-lab" in capsys.readouterr().out
 
 
-def run_cli(tmp_path, *argv):
-    """The exit code and stderr of the CLI run as a child process."""
+def run_cli(tmp_path, *argv, flags=()):
+    """The exit code and stderr of the CLI run as a child process, with the
+    interpreter flags given."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run(
-        [sys.executable, "-m", "hardy_lab.cli", *argv],
+        [sys.executable, *flags, "-m", "hardy_lab.cli", *argv],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     return run.returncode, run.stderr
@@ -365,6 +366,26 @@ def test_window_past_its_tail_bound_is_non_convergence(tmp_path, capsys):
     assert code == cli.EXIT_NONCONVERGENCE
     assert err.startswith("non-convergence: ") and err.count("\n") == 1
     assert "t_min" in err and "t_max" in err and "tail" in err
+
+
+def test_carleson_with_no_positive_ratio_is_non_convergence(tmp_path, capsys):
+    # every BMO norm is 0, so no ratio is left for the spread to compare
+    coeff = {"kind": "random", "lam": 1e-300, "Lam": 1e-300}
+    cfg = write_config(tmp_path, grid={"sizes": [16]}, coefficients=coeff)
+    code = cli.main(["carleson", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NONCONVERGENCE
+    assert err == "non-convergence: carleson/bmo^2 spread: no positive value to compare\n"
+    assert not (tmp_path / "reports" / "carleson_summary.json").exists()
+
+
+def test_huge_finite_stencil_is_checked_without_a_warning(tmp_path):
+    # ||L|| ~ 1e203: the eigenbasis check's residual must not overflow when
+    # it is summed, whichever backend its bound then selects
+    coeff = {"kind": "random", "Lam": 1e200}
+    cfg = write_config(tmp_path, grid={"sizes": [16]}, coefficients=coeff)
+    code, err = run_cli(tmp_path, "assemble", "--config", str(cfg), flags=("-W", "error::RuntimeWarning"))
+    assert (code, err) == (cli.EXIT_OK, "")
 
 
 @pytest.mark.parametrize(
@@ -446,7 +467,7 @@ def test_warm_dense_commands_load_no_scipy_linalg(tmp_path):
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(tmp_path / "xdg"))
-    heavy = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
+    heavy = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg", "numpy.ma")
     code = (
         "import json, sys\n"
         "from hardy_lab import cli\n"

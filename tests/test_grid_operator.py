@@ -320,6 +320,24 @@ def test_stencil_matches_the_csr_built_from_it(grid, kind):
 
 
 @pytest.mark.parametrize("grid", STENCIL_GRIDS, ids=lambda g: f"{g.dim}d-{g.boundary}")
+def test_a_column_of_a_stencil_product_has_the_same_bits_in_any_block(grid):
+    op = assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, seed=4))
+    rng = np.random.default_rng(2)
+    v = rng.normal(size=(grid.n_nodes, 150)) + 1j * rng.normal(size=(grid.n_nodes, 150))
+    whole = op.apply(v)
+    for j in range(0, 150, 7):
+        assert np.array_equal(op.apply(v[:, j]), whole[:, j])
+    for width in (3, 5, 16, 64):
+        for lo in range(0, 150 - width, 11):
+            cols = slice(lo, lo + width)
+            assert np.array_equal(op.apply(v[:, cols]), whole[:, cols])
+            assert np.array_equal(op.apply(np.ascontiguousarray(v[:, cols])), whole[:, cols])
+    for cols in (slice(1, None, 3), slice(None, None, -1)):  # strided views
+        assert np.array_equal(op.apply(v[:, cols]), whole[:, cols])
+    assert np.array_equal(op.apply(np.asfortranarray(v)), whole)
+
+
+@pytest.mark.parametrize("grid", STENCIL_GRIDS, ids=lambda g: f"{g.dim}d-{g.boundary}")
 def test_nan_on_one_face_reaches_the_opposite_face_only_on_a_torus(grid):
     op = assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, seed=4))
     u = np.zeros(grid.sizes, dtype=complex)

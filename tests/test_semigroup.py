@@ -1,6 +1,7 @@
 """Functional calculus: heat, resolvent, Poisson, fractional powers."""
 
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -229,10 +230,55 @@ def test_reconstruction_bound_rejects_a_perturbed_factor(grid2d, part):
     assert bound >= exact > 1e-10
 
 
+def dense_bound(op, w, v, vinv):
+    """The bound `_reconstruction_error` certifies, written with N x N
+    arrays: E1 = L V - V W from op.toarray(), E2 = V V^{-1} - I, and the
+    norms of L from its rows and columns."""
+    a = op.toarray()
+    t0 = 1.0 / (np.abs(w).max() + 1.0)
+    e1 = a @ v - v * w
+    e2 = v @ vinv - np.eye(op.n)
+    norm_inf, norm_1 = np.abs(a).sum(axis=1).max(), np.abs(a).sum(axis=0).max()
+    herm = (a + a.conj().T) / 2
+    centre = herm.diagonal().real
+    mu = (centre - (np.abs(herm).sum(axis=1) - np.abs(centre))).min()
+    growth = t0 * (max(0.0, -mu) + math.sqrt(norm_1 * norm_inf))
+    b = math.exp(t0 * max(0.0, -w.real.min()))
+    err = t0 * b * np.linalg.norm(e1) * np.linalg.norm(vinv) + np.linalg.norm(e2)
+    return err * math.exp(growth) / math.sqrt(op.n)
+
+
+@pytest.mark.parametrize("part", ["none", "w", "v", "vinv"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(1, (64,), 1.0 / 64),
+        Grid(2, (16, 16), 1.0 / 16),
+        Grid(2, (12, 12), 1.0 / 13, DIRICHLET),
+        Grid(2, (10, 10), 1.0 / 10),
+    ],
+    ids=["1d-64", "2d-16x16", "2d-12x12-dirichlet", "2d-10x10"],
+)
+def test_reconstruction_bound_matches_its_dense_formula(grid, part):
+    # 144 and 100 nodes leave a partial last block; a residual of roundoff
+    # size is itself roundoff in how it is summed, so the 1e-12 match is
+    # taken on factors perturbed far above it
+    op = assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, seed=1))
+    basis = dict(zip(("w", "v", "vinv"), eigenbasis(op)))
+    if part != "none":
+        rng = np.random.default_rng(0)
+        x = basis[part]
+        noise = 1e-3 * (rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape))
+        basis[part] = x * (1 + noise) if part == "w" else x + noise
+    bound = semigroup._reconstruction_error(op, **basis)
+    rel = 1e-2 if part == "none" else 1e-12
+    assert bound == pytest.approx(dense_bound(op, **basis), rel=rel)
+
+
 def test_dense_calculus_keeps_only_its_eigenbasis(grid2d):
     op = assemble_operator(grid2d, random_elliptic_coefficients(grid2d, 0.5, 2.0, seed=1))
     unit = 16 * op.n**2  # bytes of one complex N x N array
-    block = 16 * op.n * semigroup._CHECK_BLOCK  # one column block of the check
+    block = 16 * op.n * 64  # bytes of 64 complex columns
     # warm caches and imports outside the trace on another operator of the
     # same size, so that the traced build of op misses the eigenbasis cache
     other = assemble_operator(grid2d, random_elliptic_coefficients(grid2d, 0.5, 2.0, seed=2))
@@ -255,7 +301,7 @@ def test_dense_calculus_keeps_only_its_eigenbasis(grid2d):
     # V, V^{-1}, and eig's input copy and workspace; the dense check held ~10.5
     assert peak <= 6 * unit
     assert built <= 2.1 * unit
-    # a load holds V, V^{-1} and the check's column blocks (~5.2), no N x N scratch
+    # a load holds V, V^{-1} and the check's column buffers, no N x N scratch
     assert load_peak <= 2.1 * unit + 6 * block
     # transposed views of V and V^{-1}: no conjugated copies
     assert adj_peak - built <= 0.1 * unit
