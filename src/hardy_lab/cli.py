@@ -13,6 +13,7 @@ Exit codes: 0 all assertions pass, 2 assertion failure, 3 config error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -596,16 +597,7 @@ def cmd_oracle(cfg: ExperimentConfig) -> None:
         raise ConfigError(str(exc)) from exc
     if not results:
         raise ConfigError(f"oracle filter {cfg.filter!r} selects nothing")
-    obj = [
-        {
-            "name": r.name,
-            "passed": r.passed,
-            "measured": r.measured,
-            "tolerance": r.tolerance,
-            "detail": r.detail,
-        }
-        for r in results
-    ]
+    obj = [dataclasses.asdict(r) for r in results]
     serialize.write_json(cfg.out / "oracle.json", {"results": obj})
     fails = [r for r in results if not r.passed]
     for r in results:

@@ -8,7 +8,7 @@ of volume ``spacing**dim``; all L^p norms carry that volume weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -257,4 +257,9 @@ def assemble_operator(grid: Grid, coeff: CoefficientField) -> DiscreteOperator:
     if not all(np.isfinite(c).all() for c in stencil.values()):
         raise NonEllipticError(f"the stencil A/h^2 of L overflows at spacing {grid.spacing!r}")
     kernel_dim = 1 if grid.boundary == PERIODIC else 0
-    return DiscreteOperator(grid, kernel_dim, stencil, _sector(coeff.matrices))
+    op = DiscreteOperator(grid, kernel_dim, stencil, _sector(coeff.matrices))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = (op.gershgorin_bound, op.norm_1, op.hermitian_lower_bound)
+    if not np.isfinite(bounds).all():
+        raise NonEllipticError(f"the row or column sums of L overflow at spacing {grid.spacing!r}")
+    return op

@@ -9,7 +9,8 @@ T_t (I - e^{-tL})^M f at each time t, f the L^2-normalized indicator of E,
 E and F disjoint at distance d > 0.  The inputs of every t form one
 block, and each family is evaluated on F alone: g_h takes one heat
 profile of the block at the rows of F (on the eigenbasis, the rows of V
-times one symbol table), the other families index their images at F.
+times one symbol table), the other families make one calculus call on
+the block, at the array of times, and index its image at F.
 The Gaffney families (M = 0) fall off like exp(-(d^2/(ct))^beta), fitted
 by `gaffney_profile`; the commutator transforms g_h and grad L^{-1/2}
 grow like (t/d^2)^M while Lambda t << d^2, the log-log slope
@@ -74,47 +75,31 @@ def riesz_h1_experiment(molecules: list, op: DiscreteOperator) -> RieszH1Report:
 GAFFNEY_FAMILIES = ("heat", "t_heat_deriv", "grad_heat", "resolvent", "grad_resolvent")
 
 
-def _grad_magnitude(op: DiscreteOperator, t: float, u: np.ndarray) -> np.ndarray:
-    """sqrt(t) |grad u|, the components folded into a pointwise magnitude."""
-    return math.sqrt(t) * VectorField(op.gradient(u), op.grid).magnitude()
+def _grad_magnitude(op: DiscreteOperator, u: np.ndarray) -> np.ndarray:
+    """|grad u| of a vector or of each column of a block, the components
+    folded into a pointwise magnitude."""
+    return np.sqrt((np.abs(op.gradient(u)) ** 2).sum(axis=0))
 
 
-def _at_each_time(member):
-    """The family whose member at time t is member(op, t, f), pointwise
-    magnitudes: column j of the block goes through it at ts[j], read at F."""
-    return lambda op, ts, block, F: np.stack(
-        [member(op, float(t), ScalarField(c, op.grid))[F] for t, c in zip(ts, block.T)], axis=1
-    )
-
-
-def _g_h(op: DiscreteOperator, ts: np.ndarray, block: np.ndarray, F: np.ndarray) -> np.ndarray:
+def _g_h(calc: semigroup.KrylovCalculus, ts: np.ndarray, block: np.ndarray, F: np.ndarray):
     """`vertical_square_function` of every column of the block, at F alone:
     one row-restricted heat profile over the default time grid."""
-    times = semigroup.default_time_grid(op.grid)
-    rows = semigroup.calculus(op).heat_profile(times.samples, block, 1, F)
-    return functionals._log_time_norm(rows, times)
+    times = semigroup.default_time_grid(calc.op.grid)
+    return functionals._log_time_norm(calc.heat_profile(times.samples, block, 1, F), times)
 
 
-# family -> (op, ts, block, F) -> magnitudes on F, shape (|F|, len(ts)), of the
-# family member, a function of tL, at ts[j] applied to column j of the block
+# family -> (calculus, ts, block, F) -> magnitudes on F, shape (|F|, len(ts)),
+# of the family member, a function of tL, at ts[j] applied to column j of
+# the block: one calculus call on the whole block, at the array ts
 _FAMILIES = {
-    "heat": _at_each_time(lambda op, t, f: np.abs(semigroup.heat_apply(op, t, f).values)),
-    "t_heat_deriv": _at_each_time(
-        lambda op, t, f: np.abs(semigroup.calculus(op).heat_poly(1, t, f.values))
-    ),
-    "grad_heat": _at_each_time(
-        lambda op, t, f: _grad_magnitude(op, t, semigroup.heat_apply(op, t, f).values)
-    ),
-    "resolvent": _at_each_time(
-        lambda op, t, f: np.abs(semigroup.calculus(op).resolvent(t, f.values))
-    ),
-    "grad_resolvent": _at_each_time(
-        lambda op, t, f: _grad_magnitude(op, t, semigroup.calculus(op).resolvent(t, f.values))
-    ),
+    "heat": lambda c, ts, b, F: np.abs(c.heat(ts, b)[F]),
+    "t_heat_deriv": lambda c, ts, b, F: np.abs(c.heat_poly(1, ts, b)[F]),
+    "grad_heat": lambda c, ts, b, F: np.sqrt(ts) * _grad_magnitude(c.op, c.heat(ts, b))[F],
+    "resolvent": lambda c, ts, b, F: np.abs(c.resolvent(ts, b)[F]),
+    "grad_resolvent": lambda c, ts, b, F: np.sqrt(ts) * _grad_magnitude(c.op, c.resolvent(ts, b))[F],
     "g_h": _g_h,
-    # riesz_apply projects the roundoff-level mean of a commutator image
-    # through mean_zero
-    "riesz": _at_each_time(lambda op, t, f: riesz_apply(op, f).magnitude()),
+    # mean_zero projects the roundoff-level mean of each commutator image
+    "riesz": lambda c, ts, b, F: _grad_magnitude(c.op, c.inv_sqrt(semigroup.mean_zero(c.op, b)))[F],
 }
 
 
@@ -125,10 +110,13 @@ def _decay_norms(
     family(t) (I - e^{-tL})^M f, f the L^2-normalized indicator of E.
 
     The inputs (I - e^{-tL})^M f of every t form one (N, len(ts)) block,
-    and the family is evaluated on F alone."""
+    and the family is evaluated on F alone.  The inputs are built a column
+    at a time through `heat_apply`, the per-vector path the tests compare
+    g_h with to 1e-11; a block product rounds 2.6e-11 apart there."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     grid = op.grid
+    ts = np.asarray(ts, dtype=float)
     E = np.asarray(E, dtype=int)
     F = np.asarray(F, dtype=int)
     in_e = np.zeros(grid.n_nodes, dtype=bool)
@@ -148,7 +136,7 @@ def _decay_norms(
         for _ in range(M):
             v = v - semigroup.heat_apply(op, float(t), ScalarField(v, grid)).values
         block[:, j] = v
-    mags = _FAMILIES[family](op, ts, block, F)
+    mags = _FAMILIES[family](semigroup.calculus(op), ts, block, F)
     norms = np.array([lp_norm(m, grid, 2) for m in mags.T])
     return dist, norms
 

@@ -174,6 +174,12 @@ def tail_window(
 # ---------------------------------------------------------------------------
 
 
+def _each_column(method, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Column j is method(s[j], column j of the block v, or v itself)."""
+    cols = v.T if v.ndim == 2 else [v] * len(s)
+    return np.stack([method(float(x), c) for x, c in zip(s, cols, strict=True)], axis=1)
+
+
 # L, and L bordered by the constants, have a symmetric sparsity pattern, so
 # SuperLU orders the columns by minimum degree on A^T + A
 _SYMMETRIC_ORDERING = "MMD_AT_PLUS_A"
@@ -182,14 +188,16 @@ _SYMMETRIC_ORDERING = "MMD_AT_PLUS_A"
 class KrylovCalculus:
     """Functional calculus of one operator through sparse routes, at any size.
 
-    Heat actions are Krylov exponential actions, a block in one call;
-    resolvents and negative powers are sparse LU solves, factorized once
-    per shift and kept for the life of the instance; on periodic grids the
-    negative powers factorize L bordered by the constants, which keeps the
-    pinned matrix sparse; functions of sqrt(L) are refused.  Inputs are a
-    vector or, where stated, a block of columns.  `w` holds the eigenvalues
-    of L, kernel pinned, of an eigenbasis that failed its check (see
-    `calculus`), and is None where none was built.
+    Both calculi take a vector or an (N, B) block v, and the time or shift
+    s of `heat`, `heat_poly` and `resolvent` may be a 1-D array: with a
+    vector, one column per time; with a block, column j at s[j].  Heat
+    actions are Krylov exponential actions, of a block in one call at a
+    scalar s; an array s goes a column at a time (`_each_column`).
+    Resolvents and negative powers are sparse LU solves, factorized once
+    per shift and kept; on periodic grids the negative powers factorize L
+    bordered by the constants, which stays sparse.  Functions of sqrt(L)
+    are refused.  `w` holds the eigenvalues of L, kernel pinned, of an
+    eigenbasis that failed its check (see `calculus`), else None.
     """
 
     def __init__(self, op: DiscreteOperator, w: np.ndarray | None = None):
@@ -199,8 +207,10 @@ class KrylovCalculus:
         self.kernel_dim, self.n, self.w = op.kernel_dim, op.n, w
         self._lu: dict = {}
 
-    def heat(self, s: float, v: np.ndarray) -> np.ndarray:
-        """e^{-sL} v for a vector or a block of columns."""
+    def heat(self, s, v: np.ndarray) -> np.ndarray:
+        """e^{-sL} v."""
+        if np.ndim(s):
+            return _each_column(self.heat, s, v)
         if s == 0:
             return np.array(v, copy=True)
         try:
@@ -209,11 +219,12 @@ class KrylovCalculus:
             raise ConvergenceError(f"expm_multiply failed at t={s}: {exc}") from exc
 
     def heat_batch(self, times: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Columns e^{-s_j L} v for a vector v; shape (N, len(times))."""
-        return np.stack([self.heat(float(s), v) for s in times], axis=1)
+        """`heat` at an array of times, under the name `perfbench` counts
+        heat columns by; only the full profiles and Poisson call it."""
+        return self.heat(times, v)
 
-    def heat_poly(self, k: int, s: float, v: np.ndarray) -> np.ndarray:
-        """(sL)^k e^{-sL} v for a vector or a block of columns."""
+    def heat_poly(self, k: int, s, v: np.ndarray) -> np.ndarray:
+        """(sL)^k e^{-sL} v."""
         out = self.heat(s, v)
         for _ in range(k):
             out = s * self.op.apply(out)
@@ -243,8 +254,10 @@ class KrylovCalculus:
 
     sqrt = inv_sqrt = poisson
 
-    def resolvent(self, s: float, v: np.ndarray) -> np.ndarray:
+    def resolvent(self, s, v: np.ndarray) -> np.ndarray:
         """(I + sL)^{-1} v by sparse direct solve, residual-checked."""
+        if np.ndim(s):
+            return _each_column(self.resolvent, s, v)
         if s == 0:
             return np.array(v, copy=True)
         if s not in self._lu:
@@ -252,14 +265,13 @@ class KrylovCalculus:
             self._lu[s] = spla.splu(mat, permc_spec=_SYMMETRIC_ORDERING)
         return self._checked_resolvent(s, v, self._lu[s].solve(v))
 
-    def _checked_resolvent(self, s: float, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out, unless its residual against (I + sL) out = v exceeds 1e-10."""
-        resid = np.linalg.norm(out + s * self.op.apply(out) - v)
-        scale = max(np.linalg.norm(v), 1e-300)
-        if resid / scale > 1e-10:
-            raise ConvergenceError(
-                f"resolvent solve residual {resid / scale:.2e} exceeds 1e-10"
-            )
+    def _checked_resolvent(self, s, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out, unless the residual of a column j against (I + s_j L) out_j
+        = v_j exceeds 1e-10 of the norm of v_j."""
+        resid = np.linalg.norm(out + s * self.op.apply(out) - v, axis=0)
+        worst = np.max(resid / np.maximum(np.linalg.norm(v, axis=0), 1e-300))
+        if worst > 1e-10:
+            raise ConvergenceError(f"resolvent solve residual {worst:.2e} exceeds 1e-10")
         return out
 
     def neg_power(self, k: int, v: np.ndarray) -> np.ndarray:
@@ -279,7 +291,7 @@ class KrylovCalculus:
             self._lu["pinned"] = spla.splu(mat, permc_spec=_SYMMETRIC_ORDERING)
         for _ in range(k):
             if self.kernel_dim:
-                v = np.append(v, 0.0)
+                v = np.concatenate([v, np.zeros((1,) + v.shape[1:])])
             v = self._lu["pinned"].solve(v)[: self.n]
         return v
 
@@ -310,7 +322,8 @@ class DenseCalculus(KrylovCalculus):
     eigenvalues, and so are resolvents and negative powers, each followed
     by one refinement step against L that keeps it as accurate
     as an LU solve (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 2002, ch. 12).
+    Algorithms, 2nd ed., 2002, ch. 12).  An array s gives the symbols a
+    column per time, np.multiply.outer(w, s), paired with a block's.
     """
 
     # an adjoint holds transposed views of V and V^{-1} and conjugates
@@ -343,7 +356,8 @@ class DenseCalculus(KrylovCalculus):
         self, vals: np.ndarray, f: np.ndarray, rows: np.ndarray | slice = slice(None)
     ) -> np.ndarray:
         """V[rows] (vals * V^{-1} f): vals of shape (N,) with a vector or a
-        block f, or of shape (N, T) with a vector f; every row by default."""
+        block f, of shape (N, T) with a vector f, or of shape (N, B) with an
+        (N, B) block f, column by column; every row by default."""
         c = self.vinv @ (f.conj() if self._conj else f)
         if vals.ndim < c.ndim:
             vals = vals[:, None]
@@ -352,16 +366,14 @@ class DenseCalculus(KrylovCalculus):
         out = self.v[rows] @ ((vals.conj() if self._conj else vals) * c)
         return out.conj() if self._conj else out
 
-    def heat(self, s: float, v: np.ndarray) -> np.ndarray:
-        if s == 0:
+    def heat(self, s, v: np.ndarray) -> np.ndarray:
+        if np.ndim(s) == 0 and s == 0:
             return np.array(v, copy=True)
-        return self._apply_vals(np.exp(-s * self.w), v)
+        return self._apply_vals(np.exp(-np.multiply.outer(self.w, s)), v)
 
-    def heat_batch(self, times: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self._apply_vals(np.exp(-np.outer(self.w, times)), v)
-
-    def heat_poly(self, k: int, s: float, v: np.ndarray) -> np.ndarray:
-        return self._apply_vals((s * self.w) ** k * np.exp(-s * self.w), v)
+    def heat_poly(self, k: int, s, v: np.ndarray) -> np.ndarray:
+        x = np.multiply.outer(self.w, s)
+        return self._apply_vals(x**k * np.exp(-x), v)
 
     def heat_profile(
         self, ts: np.ndarray, v: np.ndarray, k: int, rows: np.ndarray | None = None
@@ -384,13 +396,15 @@ class DenseCalculus(KrylovCalculus):
             return self._apply_vals(symbol, v, rows)
         return np.stack([self._apply_vals(symbol, c, rows) for c in v.T], axis=1)
 
-    def resolvent(self, s: float, v: np.ndarray) -> np.ndarray:
+    def resolvent(self, s, v: np.ndarray) -> np.ndarray:
         """(I + sL)^{-1} v: the symbol 1/(1 + s w), one refinement step,
         residual-checked."""
-        if s == 0:
+        if np.ndim(s) == 0 and s == 0:
             return np.array(v, copy=True)
-        symbol = 1.0 / (1.0 + s * self.w)
+        symbol = 1.0 / (1.0 + np.multiply.outer(self.w, s))
         out = self._apply_vals(symbol, v)
+        if out.ndim > v.ndim:  # a vector at an array of shifts
+            v = v[:, None]
         out += self._apply_vals(symbol, v - out - s * self.op.apply(out))
         return self._checked_resolvent(s, v, out)
 
@@ -621,7 +635,7 @@ def _pin_kernel(w: np.ndarray, kernel_dim: int) -> tuple[np.ndarray, np.ndarray]
     where L has a kernel, and that mask.
 
     Roundoff-level kernel eigenvalues blow up under the huge times of the
-    subordination rule, and `heat_batch` exponentiates -t w unclamped; on
+    subordination rule, and `heat` exponentiates -t w unclamped; on
     Dirichlet grids w is returned as is.
     """
     mask = np.abs(w) <= 1e-10 * max(float(np.abs(w).max()), 1.0)
@@ -710,17 +724,19 @@ def resolvent_apply(op: DiscreteOperator, t: float, f: ScalarField) -> ScalarFie
 
 
 def mean_zero(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
-    """v with its kernel component removed, where L has one.
+    """v with its kernel component removed, where L has one; v is a vector
+    or a block, taken column by column.
 
     On periodic grids the constants span the kernel of L, so inverse
     powers and the duality pairing exist only on mean-zero fields: a mean
-    below 1e-10 max|v| is roundoff and is projected away, anything larger
-    raises KernelComponentError.  On Dirichlet grids v is returned as is.
+    below 1e-10 max|v| of its column is roundoff and is projected away,
+    anything larger in any column raises KernelComponentError.  On
+    Dirichlet grids v is returned as is.
     """
     if not op.kernel_dim:
         return v
-    mean = v.mean()
-    if abs(mean) > 1e-10 * max(float(np.abs(v).max()), 1e-300):
+    mean = v.mean(axis=0)
+    if np.any(np.abs(mean) > 1e-10 * np.maximum(np.abs(v).max(axis=0), 1e-300)):
         raise KernelComponentError(
             "kernel component: field is not mean-zero on a periodic grid"
         )

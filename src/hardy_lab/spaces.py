@@ -100,23 +100,19 @@ def _oscillation_fields(
     f: ScalarField, op: DiscreteOperator, M: int, variant: str
 ) -> dict:
     """(I - A_l)^M f for each sidelength l of the cube family, as M
-    applications of v <- v - A_l v."""
+    applications of v <- v - A_l v to a block with one column per l, A_l
+    at s = l^2 in its column: one calculus call per application."""
     if variant not in BMO_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if M < 1:
         raise ValueError("need M >= 1")
-    grid = op.grid
-    out = {}
-    for m, _ in _levels(grid):
-        ell = m * grid.spacing
-        v = f.values
-        for _ in range(M):
-            if variant == "resolvent":
-                v = v - semigroup.resolvent_apply(op, ell, ScalarField(v, grid)).values
-            else:
-                v = v - semigroup.heat_apply(op, ell * ell, ScalarField(v, grid)).values
-        out[ell] = v
-    return out
+    ells = [m * op.grid.spacing for m, _ in _levels(op.grid)]
+    s = np.array(ells) ** 2
+    apply = getattr(semigroup.calculus(op), variant)  # each variant names a calculus method
+    v = np.repeat(semigroup._check_field(op, f)[:, None], len(ells), axis=1)
+    for _ in range(M):
+        v = v - apply(s, v)
+    return dict(zip(ells, v.T))
 
 
 @dataclass(frozen=True, eq=False)

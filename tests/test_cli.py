@@ -318,6 +318,9 @@ def test_non_dyadic_decompose_grid_is_config_error(tmp_path, capsys):
         ("bmo", {"grid": {"sizes": [16], "spacing": 1e-160}}),
         ("assemble", {"grid": {"sizes": [16]}, "coefficients": {"kind": "random", "Lam": 1e308}}),
         ("assemble", {"coefficients": {"kind": "random", "Lam": 1e308}}),
+        # finite entries whose row and column sums overflow
+        ("assemble", {"grid": {"sizes": [16]}, "coefficients": {"kind": "random", "Lam": 5e305}}),
+        ("bmo", {"grid": {"sizes": [16]}, "coefficients": {"kind": "random", "Lam": 5e305}}),
         ("no_such_command", {}),
     ],
 )
@@ -386,6 +389,17 @@ def test_huge_finite_stencil_is_checked_without_a_warning(tmp_path):
     cfg = write_config(tmp_path, grid={"sizes": [16]}, coefficients=coeff)
     code, err = run_cli(tmp_path, "assemble", "--config", str(cfg), flags=("-W", "error::RuntimeWarning"))
     assert (code, err) == (cli.EXIT_OK, "")
+
+
+@pytest.mark.parametrize("flags", [(), ("-W", "error::RuntimeWarning")], ids=["plain", "warnings-error"])
+@pytest.mark.parametrize("command", ["assemble", "bmo"])
+def test_overflowing_row_sums_are_one_line_config_errors(tmp_path, command, flags):
+    # every entry of the stencil is finite, its row and column sums are not
+    coeff = {"kind": "random", "Lam": 5e305}
+    cfg = write_config(tmp_path, grid={"sizes": [16]}, coefficients=coeff)
+    code, err = run_cli(tmp_path, command, "--config", str(cfg), flags=flags)
+    assert code == cli.EXIT_CONFIG
+    assert err == "config error: the row or column sums of L overflow at spacing 0.0625\n"
 
 
 @pytest.mark.parametrize(

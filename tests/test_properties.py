@@ -128,7 +128,7 @@ def test_spectrum_lies_in_numerical_range_sector(pair):
 @settings(max_examples=30, deadline=None)
 @given(pair=operators())
 def test_pinned_spectrum_is_accretive(pair):
-    # DenseCalculus.heat_batch exponentiates -t w with no clamp on growth
+    # DenseCalculus.heat exponentiates -t w with no clamp on growth
     w = DenseCalculus(pair[0]).w
     assert (w.real >= 0).all()
 

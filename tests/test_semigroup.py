@@ -380,6 +380,91 @@ def test_dense_solves_factorize_nothing(monkeypatch, sizes, boundary):
         dense.resolvent(0.01, v)
 
 
+@pytest.fixture(
+    params=[(b, c) for b in (PERIODIC, DIRICHLET) for c in ("DenseCalculus", "KrylovCalculus")],
+    ids=lambda p: "-".join(p),
+)
+def contract_calc(request, monkeypatch):
+    """(op, calculus) on an 8 x 8 grid, the Krylov backend forced by size."""
+    boundary, backend = request.param
+    if backend == "KrylovCalculus":
+        monkeypatch.setattr(semigroup, "AUTO_DENSE_MAX", 0)
+    grid = Grid(2, (8, 8), 1.0 / 8, boundary)
+    op = assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 2.0, seed=1))
+    calc = semigroup.calculus(op)
+    assert type(calc).__name__ == backend
+    return op, calc
+
+
+# the methods whose time or shift may be an array over the columns
+ARRAY_TIME = {
+    "heat": lambda c, s, v: c.heat(s, v),
+    "heat_poly": lambda c, s, v: c.heat_poly(2, s, v),
+    "resolvent": lambda c, s, v: c.resolvent(s, v),
+}
+CONTRACT_TIMES = np.array([1e-3, 0.01, 0.1])
+
+
+def contract_block(op):
+    return np.stack([mean_zero_field(op.grid, seed=s).values for s in (3, 4, 5)], axis=1)
+
+
+@pytest.mark.parametrize("method", sorted(ARRAY_TIME))
+def test_array_time_on_a_vector_gives_a_column_per_time(contract_calc, method):
+    op, calc = contract_calc
+    v = contract_block(op)[:, 0]
+    apply = ARRAY_TIME[method]
+    got = apply(calc, CONTRACT_TIMES, v)
+    want = np.stack([apply(calc, float(s), v) for s in CONTRACT_TIMES], axis=1)
+    assert got.shape == (op.n, CONTRACT_TIMES.size)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("method", sorted(ARRAY_TIME))
+def test_array_time_on_a_block_gives_column_j_at_time_j(contract_calc, method):
+    op, calc = contract_calc
+    block = contract_block(op)
+    apply = ARRAY_TIME[method]
+    got = apply(calc, CONTRACT_TIMES, block)
+    want = np.stack([apply(calc, float(s), c) for s, c in zip(CONTRACT_TIMES, block.T)], axis=1)
+    assert got.shape == block.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_neg_power_on_a_block_is_the_per_column_solves(contract_calc):
+    # the bordered Krylov solve takes a zero row under a block
+    op, calc = contract_calc
+    block = contract_block(op)
+    got = calc.neg_power(2, block)
+    want = np.stack([calc.neg_power(2, c) for c in block.T], axis=1)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_resolvent_check_is_per_column(contract_calc):
+    # a column 1e6 times larger hides the other's error from the block's
+    # Frobenius residual, not from the per-column check
+    op, calc = contract_calc
+    v = contract_block(op)[:, 0]
+    block = np.stack([1e6 * v, v], axis=1)
+    out = calc.resolvent(0.01, block)
+    out[:, 1] *= 1 + 1e-7
+    resid = out + 0.01 * op.apply(out) - block
+    assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(block)
+    with pytest.raises(ConvergenceError, match="resolvent solve residual"):
+        calc._checked_resolvent(0.01, block, out)
+
+
+def test_mean_zero_centres_each_column_of_a_block(op1d, field1d):
+    v = field1d.values
+    block = np.stack([v + 1e-12, 1e3 * v - 3e-10], axis=1)
+    out = semigroup.mean_zero(op1d, block)
+    assert np.abs(out.mean(axis=0)).max() < 1e-13
+    assert np.abs(out - np.stack([v, 1e3 * v], axis=1)).max() < 1e-12
+    # 1e-6 is roundoff beside the second column's 1e3, not beside the first
+    with pytest.raises(KernelComponentError):
+        semigroup.mean_zero(op1d, np.stack([v + 1e-6, 1e3 * v], axis=1))
+
+
 def test_mean_zero_passes_dirichlet_fields_through():
     grid = Grid(1, (64,), 1.0 / 64, DIRICHLET)
     op = assemble_operator(grid, identity_coefficients(grid))
