@@ -318,10 +318,10 @@ def test_non_dyadic_decompose_grid_is_config_error(tmp_path, capsys):
         ("bmo", {"grid": {"sizes": [16], "spacing": 1e-160}}),
         ("assemble", {"grid": {"sizes": [16]}, "coefficients": {"kind": "random", "Lam": 1e308}}),
         ("assemble", {"coefficients": {"kind": "random", "Lam": 1e308}}),
+        ("no_such_command", {}),
         # finite entries whose row and column sums overflow
         ("assemble", {"grid": {"sizes": [16]}, "coefficients": {"kind": "random", "Lam": 5e305}}),
         ("bmo", {"grid": {"sizes": [16]}, "coefficients": {"kind": "random", "Lam": 5e305}}),
-        ("no_such_command", {}),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, command, extra):
