@@ -440,16 +440,16 @@ def cmd_bmo(cfg: ExperimentConfig) -> None:
     for idx, f in enumerate(fields):
         # the p = 2 norm of the John-Nirenberg family is the heat BMO norm
         jn = spaces.john_nirenberg_compare(f, op, cfg.M)
-        heat = jn.norms[2.0]
+        heat = jn[2.0]
         reso = spaces.bmo_norm(f, op, cfg.M, "resolvent").norm
         _finite("bmo", heat, reso)
         rows.append((idx, "heat", cfg.M, 2.0, heat))
         rows.append((idx, "resolvent", cfg.M, 2.0, reso))
         if reso > 0:
             hr_ratios.append(heat / reso)
-        for p, val in sorted(jn.norms.items()):
+        for p, val in sorted(jn.items()):
             rows.append((idx, "p", cfg.M, p, val))
-        jn_spreads.append(_spread("BMO^p spread", list(jn.norms.values())))
+        jn_spreads.append(_spread("BMO^p spread", list(jn.values())))
     serialize.write_csv(
         cfg.out / "bmo.csv", ("field", "variant", "M", "p", "norm"), rows
     )
@@ -484,7 +484,7 @@ def cmd_carleson(cfg: ExperimentConfig) -> None:
     rows = []
     ratios = []
     for idx, f in enumerate(cfg.fields(op)):
-        car = spaces.carleson_functional(f, op, cfg.M, times).carleson_norm
+        car = spaces.carleson_functional(f, op, cfg.M, times)
         bmo = spaces.bmo_norm(f, op, cfg.M, "heat").norm
         _finite("carleson", car, bmo)
         rows.append((idx, car, bmo, car / bmo**2 if bmo > 0 else math.nan))

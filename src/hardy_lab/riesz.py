@@ -81,7 +81,7 @@ def _grad_magnitude(op: DiscreteOperator, u: np.ndarray) -> np.ndarray:
     return np.sqrt((np.abs(op.gradient(u)) ** 2).sum(axis=0))
 
 
-def _g_h(calc: semigroup.KrylovCalculus, ts: np.ndarray, block: np.ndarray, F: np.ndarray):
+def _g_h(calc: semigroup._Calculus, ts: np.ndarray, block: np.ndarray, F: np.ndarray):
     """`vertical_square_function` of every column of the block, at F alone:
     one row-restricted heat profile over the default time grid."""
     times = semigroup.default_time_grid(calc.op.grid)

@@ -7,16 +7,18 @@ L and keep the eigenbasis if a certified bound on its error in
 reconstructing a full matrix exponential is below 1e-10 (`DenseCalculus`,
 `_reconstruction_error`); above that size, or when the check fails, use
 sparse exponential actions and direct sparse solves (`KrylovCalculus`).
-The size rule picks the solver with the backend: `KrylovCalculus` solves
-resolvents and negative powers by sparse LU, `DenseCalculus` reads them
-off the eigenbasis with one step of iterative refinement against L, so a
-dense command factorizes nothing.  The calculus reads L only through the
-operator: its stencil products in the refinement steps, the heat
-polynomials and the reconstruction check, its dense array for `eig`, and
-its CSR matrix for the sparse routes alone.  `scipy.linalg` (for `eig`),
-`scipy.sparse` (for the CSR L) and `scipy.sparse.linalg` (for LU and
-Krylov actions) are imported on first use: a command served by a cached
-eigenbasis loads none of them.
+The two are peers over `_Calculus`, which holds what they share, and `eig`
+sees L scaled near 1 by a power of two when ||L||_inf lies outside
+[2^-400, 2^400] (`_build_eigenbasis`).  The size rule picks the solver with
+the backend: `KrylovCalculus` solves resolvents and negative powers by
+sparse LU, `DenseCalculus` reads them off the eigenbasis with one step of
+iterative refinement against L, so a dense command factorizes nothing.  The
+calculus reads L only through the operator: its stencil products in the
+refinement steps, the heat polynomials and the reconstruction check, its
+dense array for `eig`, and its CSR matrix for the sparse routes alone.
+`scipy.linalg` (for `eig`), `scipy.sparse` (for the CSR L) and
+`scipy.sparse.linalg` (for LU and Krylov actions) are imported on first
+use: a command served by a cached eigenbasis loads none of them.
 
 A verified eigenbasis is also kept on disk, under
 $XDG_CACHE_HOME/hardy-lab (~/.cache/hardy-lab when that is unset), so
@@ -85,8 +87,7 @@ class _OnFirstUse:
         return getattr(importlib.import_module(self._name), attr)
 
 
-# only KrylovCalculus needs scipy.sparse (the CSR L) and scipy.sparse.linalg
-# (splu, expm_multiply)
+# KrylovCalculus alone needs scipy.sparse (the CSR L) and scipy.sparse.linalg
 sp = _OnFirstUse("scipy.sparse")
 spla = _OnFirstUse("scipy.sparse.linalg")
 
@@ -185,20 +186,11 @@ def _each_column(method, s: np.ndarray, v: np.ndarray) -> np.ndarray:
 _SYMMETRIC_ORDERING = "MMD_AT_PLUS_A"
 
 
-class KrylovCalculus:
-    """Functional calculus of one operator through sparse routes, at any size.
-
-    Both calculi take a vector or an (N, B) block v, and the time or shift
-    s of `heat`, `heat_poly` and `resolvent` may be a 1-D array: with a
-    vector, one column per time; with a block, column j at s[j].  Heat
-    actions are Krylov exponential actions, of a block in one call at a
-    scalar s; an array s goes a column at a time (`_each_column`).
-    Resolvents and negative powers are sparse LU solves, factorized once
-    per shift and kept; on periodic grids the negative powers factorize L
-    bordered by the constants, which stays sparse.  Functions of sqrt(L)
-    are refused.  `w` holds the eigenvalues of L, kernel pinned, of an
-    eigenbasis that failed its check (see `calculus`), else None.
-    """
+class _Calculus:
+    """What both calculi share.  Each takes a vector or an (N, B) block v,
+    and the time or shift s of `heat`, `heat_poly` and `resolvent` may be
+    a 1-D array: with a vector, one column per time; with a block, column
+    j at s[j]."""
 
     def __init__(self, op: DiscreteOperator, w: np.ndarray | None = None):
         # a shallow twin sharing op's stencil and neighbour table, not op
@@ -207,28 +199,10 @@ class KrylovCalculus:
         self.kernel_dim, self.n, self.w = op.kernel_dim, op.n, w
         self._lu: dict = {}
 
-    def heat(self, s, v: np.ndarray) -> np.ndarray:
-        """e^{-sL} v."""
-        if np.ndim(s):
-            return _each_column(self.heat, s, v)
-        if s == 0:
-            return np.array(v, copy=True)
-        try:
-            return spla.expm_multiply(-s * self.op.matrix, v)
-        except Exception as exc:  # pragma: no cover - scipy internal failure
-            raise ConvergenceError(f"expm_multiply failed at t={s}: {exc}") from exc
-
     def heat_batch(self, times: np.ndarray, v: np.ndarray) -> np.ndarray:
         """`heat` at an array of times, under the name `perfbench` counts
         heat columns by; only the full profiles and Poisson call it."""
         return self.heat(times, v)
-
-    def heat_poly(self, k: int, s, v: np.ndarray) -> np.ndarray:
-        """(sL)^k e^{-sL} v."""
-        out = self.heat(s, v)
-        for _ in range(k):
-            out = s * self.op.apply(out)
-        return out
 
     def heat_profile(
         self, ts: np.ndarray, v: np.ndarray, k: int, rows: np.ndarray | None = None
@@ -243,6 +217,54 @@ class KrylovCalculus:
         for _ in range(k):
             out = self.op.apply(out) * (ts**2)[None, :]
         return out if rows is None else out[rows]
+
+    def _checked_resolvent(self, s, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out, unless the residual of a column j against (I + s_j L) out_j
+        = v_j exceeds 1e-10 of the norm of v_j."""
+        resid = np.linalg.norm(out + s * self.op.apply(out) - v, axis=0)
+        worst = np.max(resid / np.maximum(np.linalg.norm(v, axis=0), 1e-300))
+        if worst > 1e-10:
+            raise ConvergenceError(f"resolvent solve residual {worst:.2e} exceeds 1e-10")
+        return out
+
+    def adjoint(self) -> "_Calculus":
+        """The calculus of L* = L^H: the same routes, with a fresh LU cache."""
+        adj = copy.copy(self)
+        adj.op = self.op.adjoint()
+        adj._lu = {}
+        adj.w = None if self.w is None else self.w.conj()
+        return adj
+
+
+class KrylovCalculus(_Calculus):
+    """Functional calculus of one operator through sparse routes, at any size.
+
+    Heat actions are Krylov exponential actions, of a block in one call at
+    a scalar s; an array s goes a column at a time (`_each_column`).
+    Resolvents and negative powers are sparse LU solves, factorized once
+    per shift and kept; on periodic grids the negative powers factorize L
+    bordered by the constants, which stays sparse.  Functions of sqrt(L)
+    are refused.  `w` holds the eigenvalues of L, kernel pinned, of an
+    eigenbasis that failed its check (see `calculus`), else None.
+    """
+
+    def heat(self, s, v: np.ndarray) -> np.ndarray:
+        """e^{-sL} v."""
+        if np.ndim(s):
+            return _each_column(self.heat, s, v)
+        if s == 0:
+            return np.array(v, copy=True)
+        try:
+            return spla.expm_multiply(-s * self.op.matrix, v)
+        except Exception as exc:  # pragma: no cover - scipy internal failure
+            raise ConvergenceError(f"expm_multiply failed at t={s}: {exc}") from exc
+
+    def heat_poly(self, k: int, s, v: np.ndarray) -> np.ndarray:
+        """(sL)^k e^{-sL} v."""
+        out = self.heat(s, v)
+        for _ in range(k):
+            out = s * self.op.apply(out)
+        return out
 
     def poisson(self, *args) -> np.ndarray:
         """Refuses e^{-t sqrt(L)} v, L^{1/2} v and L^{-1/2} v: a Krylov
@@ -265,15 +287,6 @@ class KrylovCalculus:
             self._lu[s] = spla.splu(mat, permc_spec=_SYMMETRIC_ORDERING)
         return self._checked_resolvent(s, v, self._lu[s].solve(v))
 
-    def _checked_resolvent(self, s, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out, unless the residual of a column j against (I + s_j L) out_j
-        = v_j exceeds 1e-10 of the norm of v_j."""
-        resid = np.linalg.norm(out + s * self.op.apply(out) - v, axis=0)
-        worst = np.max(resid / np.maximum(np.linalg.norm(v, axis=0), 1e-300))
-        if worst > 1e-10:
-            raise ConvergenceError(f"resolvent solve residual {worst:.2e} exceeds 1e-10")
-        return out
-
     def neg_power(self, k: int, v: np.ndarray) -> np.ndarray:
         """L^{-k} v by k solves on the complement of the kernel.
 
@@ -295,16 +308,8 @@ class KrylovCalculus:
             v = self._lu["pinned"].solve(v)[: self.n]
         return v
 
-    def adjoint(self) -> "KrylovCalculus":
-        """The calculus of L* = L^H: the same routes, with a fresh LU cache."""
-        adj = copy.copy(self)
-        adj.op = self.op.adjoint()
-        adj._lu = {}
-        adj.w = None if self.w is None else self.w.conj()
-        return adj
 
-
-class DenseCalculus(KrylovCalculus):
+class DenseCalculus(_Calculus):
     """Functional calculus from one eigendecomposition L = V diag(w) V^{-1}.
 
     The eigenbasis comes from the on-disk cache when an entry for L exists
@@ -378,7 +383,7 @@ class DenseCalculus(KrylovCalculus):
     def heat_profile(
         self, ts: np.ndarray, v: np.ndarray, k: int, rows: np.ndarray | None = None
     ) -> np.ndarray:
-        """As `KrylovCalculus.heat_profile`.  Given rows, the symbol
+        """As `_Calculus.heat_profile`.  Given rows, the symbol
         (t^2 w)^k e^{-t^2 w} is tabulated once, shape (N, len(ts)), and
         only V[rows] multiplies it, one input column at a time, so no
         (N, B, len(ts)) product is formed.  The full profile keeps
@@ -459,13 +464,19 @@ class DenseCalculus(KrylovCalculus):
 
 
 def _build_eigenbasis(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w, V, V^{-1}) of L by dense `eig` and `inv`, unchecked."""
+    """(w, V, V^{-1}) of L by dense `eig` and `inv`, unchecked.  Outside
+    2^-400 <= ||L||_inf <= 2^400, eig gets L / 2^e, e the frexp exponent of
+    ||L||_inf, and w is scaled back: near 1e+-138 LAPACK's own rescaling
+    leaves w ~1e64 off.  Both scalings are exact; e = 0 keeps every bit."""
     import scipy.linalg  # a cache hit never needs it
 
     a = op.toarray()
+    norm = op.gershgorin_bound
+    e = 0 if 2.0**-400 <= norm <= 2.0**400 else math.frexp(norm)[1]
+    np.ldexp(a.view(np.float64), -e, out=a.view(np.float64))
     w, v = scipy.linalg.eig(a)
     del a
-    return w, v, scipy.linalg.inv(v)
+    return np.ldexp(w.view(np.float64), e).view(np.complex128), v, scipy.linalg.inv(v)
 
 
 # ---------------------------------------------------------------------------
@@ -631,23 +642,21 @@ def _reconstruction_error(
 
 
 def _pin_kernel(w: np.ndarray, kernel_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues with |w| <= 1e-10 max(|w|max, 1) set to exactly zero
-    where L has a kernel, and that mask.
+    """The eigenvalues with |w| <= 1e-10 max|w| set to exactly zero where L
+    has a kernel, and that mask.
 
     Roundoff-level kernel eigenvalues blow up under the huge times of the
     subordination rule, and `heat` exponentiates -t w unclamped; on
     Dirichlet grids w is returned as is.
     """
-    mask = np.abs(w) <= 1e-10 * max(float(np.abs(w).max()), 1.0)
+    mask = np.abs(w) <= 1e-10 * float(np.abs(w).max())
     return (np.where(mask, 0.0, w) if kernel_dim else w), mask
 
 
-_CALCULI: "weakref.WeakKeyDictionary[DiscreteOperator, KrylovCalculus]" = (
-    weakref.WeakKeyDictionary()
-)
+_CALCULI: "weakref.WeakKeyDictionary[DiscreteOperator, _Calculus]" = weakref.WeakKeyDictionary()
 
 
-def calculus(op: DiscreteOperator) -> KrylovCalculus:
+def calculus(op: DiscreteOperator) -> _Calculus:
     """The functional calculus serving op, built on first use and cached."""
     calc = _CALCULI.get(op)
     if calc is None:
@@ -657,13 +666,14 @@ def calculus(op: DiscreteOperator) -> KrylovCalculus:
 
 
 def calculus_summary(op: DiscreteOperator) -> dict | None:
-    """The backend serving op and, for the eigenbasis, its source, check
-    error and cache key; None if no calculus was built for op."""
+    """The backend serving op and its eigenbasis: the source, check error
+    and cache key of a dense one, "failed" or None (none built) under
+    Krylov; None if no calculus was built for op."""
     calc = _CALCULI.get(op)
     if calc is None:
         return None
     if not isinstance(calc, DenseCalculus):
-        return {"backend": "krylov"}
+        return {"backend": "krylov", "eigenbasis": None if calc.w is None else "failed"}
     return {
         "backend": "dense",
         "eigenbasis": calc.source,
@@ -679,7 +689,7 @@ def spectrum(op: DiscreteOperator) -> np.ndarray | None:
     return calculus(op).w if op.n <= AUTO_DENSE_MAX else None
 
 
-def _choose_calculus(op: DiscreteOperator) -> KrylovCalculus:
+def _choose_calculus(op: DiscreteOperator) -> _Calculus:
     w = None
     if op.n <= AUTO_DENSE_MAX:
         try:

@@ -117,9 +117,6 @@ def _oscillation_fields(
 
 @dataclass(frozen=True, eq=False)
 class BmoReport:
-    variant: str
-    M: int
-    p: float
     norm: float
 
 
@@ -152,7 +149,7 @@ def bmo_norm(
 ) -> BmoReport:
     """sup over the dyadic cube family of the L^p cube mean of (I - A_l)^M f."""
     osc = _oscillation_fields(f, op, M, variant)
-    return BmoReport(variant, M, p, _cube_sup(osc, op.grid, (p,))[p])
+    return BmoReport(_cube_sup(osc, op.grid, (p,))[p])
 
 
 # ---------------------------------------------------------------------------
@@ -179,24 +176,19 @@ def _tent_mean_sup(density: np.ndarray, grid: Grid, times: TimeGrid) -> float:
     return float(np.max(best))
 
 
-@dataclass(frozen=True, eq=False)
-class CarlesonReport:
-    carleson_norm: float
-
-
 def carleson_functional(
     f: ScalarField,
     op: DiscreteOperator,
     M: int = 1,
     times: TimeGrid | None = None,
-) -> CarlesonReport:
+) -> float:
     """Carleson norm of the measure |(t^2 L)^M e^{-t^2 L} f|^2 dy dt/t."""
     if M < 1:
         raise ValueError("need M >= 1")
     grid = op.grid
     times = times or semigroup.default_time_grid(grid)
     prof = semigroup.heat_profile(op, f, times, K=M)
-    return CarlesonReport(_tent_mean_sup(np.abs(prof) ** 2, grid, times))
+    return _tent_mean_sup(np.abs(prof) ** 2, grid, times)
 
 
 def tent_norms(F: SpaceTimeField) -> tuple[float, float]:
@@ -253,17 +245,12 @@ def duality_error(pairs, op: DiscreteOperator, M: int = 1) -> float:
     return worst
 
 
-@dataclass(frozen=True, eq=False)
-class JohnNirenbergReport:
-    norms: dict  # p -> BMO_L^p norm
-
-
 def john_nirenberg_compare(
     f: ScalarField,
     op: DiscreteOperator,
     M: int = 1,
     p_list: tuple = (1.5, 2.0, 3.0),
-) -> JohnNirenbergReport:
-    """Heat BMO_L^p norms across exponents, on one set of oscillation fields."""
+) -> dict:
+    """p -> heat BMO_L^p norm, over one set of oscillation fields."""
     osc = _oscillation_fields(f, op, M, "heat")
-    return JohnNirenbergReport(_cube_sup(osc, op.grid, p_list))
+    return _cube_sup(osc, op.grid, p_list)

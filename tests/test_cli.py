@@ -245,7 +245,7 @@ def test_assemble_falls_back_to_eigenvalues_when_the_check_fails(
     w = semigroup._pin_kernel(semigroup._build_eigenbasis(op)[0], op.kernel_dim)[0]
     assert rows == spectrum_rows(w)
     meta = json.loads((reports / "run_metadata.json").read_text())
-    assert meta["calculus"] == {"backend": "krylov"}
+    assert meta["calculus"] == {"backend": "krylov", "eigenbasis": "failed"}
     assert not list(eigenbasis_cache.glob("*.eig"))  # a failed basis is not kept
 
 
@@ -382,13 +382,38 @@ def test_carleson_with_no_positive_ratio_is_non_convergence(tmp_path, capsys):
     assert not (tmp_path / "reports" / "carleson_summary.json").exists()
 
 
+def spectrum_csv(reports: Path) -> np.ndarray:
+    rows = serialize.read_csv(reports / "spectrum.csv")[1]
+    return np.array([complex(float(re), float(im)) for _, re, im in rows])
+
+
 def test_huge_finite_stencil_is_checked_without_a_warning(tmp_path):
     # ||L|| ~ 1e203: the eigenbasis check's residual must not overflow when
-    # it is summed, whichever backend its bound then selects
+    # it is summed, and eig, run on L scaled near 1, must return eigenvalues
+    # that pass the check
     coeff = {"kind": "random", "Lam": 1e200}
     cfg = write_config(tmp_path, grid={"sizes": [16]}, coefficients=coeff)
     code, err = run_cli(tmp_path, "assemble", "--config", str(cfg), flags=("-W", "error::RuntimeWarning"))
     assert (code, err) == (cli.EXIT_OK, "")
+    reports = tmp_path / "reports"
+    assert json.loads((reports / "run_metadata.json").read_text())["calculus"]["backend"] == "dense"
+    grid = Grid(1, (16,), 1.0 / 16)
+    norm = assemble_operator(grid, random_elliptic_coefficients(grid, 0.5, 1e200, 1)).gershgorin_bound
+    assert norm / 2 <= np.abs(spectrum_csv(reports)).max() <= 2 * norm
+
+
+def test_tiny_stencil_spectrum_is_the_scaled_identity_spectrum(tmp_path):
+    # A = 1e-300 I exactly, so L is 1e-300 times the identity-coefficient L:
+    # eig runs on L scaled near 1, and no eigenvalue but the kernel's is
+    # pinned to 0
+    coeff = {"kind": "random", "lam": 1e-300, "Lam": 1e-300}
+    cfg = write_config(tmp_path, grid={"sizes": [16]}, coefficients=coeff)
+    code, err = run_cli(tmp_path, "assemble", "--config", str(cfg), flags=("-W", "error::RuntimeWarning"))
+    assert (code, err) == (cli.EXIT_OK, "")
+    grid = Grid(1, (16,), 1.0 / 16)
+    w = semigroup.DenseCalculus(assemble_operator(grid, identity_coefficients(grid))).w
+    want = 1e-300 * w[np.argsort(w.real, kind="stable")]
+    np.testing.assert_allclose(spectrum_csv(tmp_path / "reports"), want, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("flags", [(), ("-W", "error::RuntimeWarning")], ids=["plain", "warnings-error"])
@@ -614,7 +639,7 @@ def test_assemble_fills_the_eigenbasis_cache(tmp_path):
 
 @pytest.mark.parametrize(
     "command, dense_max, expected",
-    [("validate", 0, {"backend": "krylov"}), ("assemble", 63, None)],
+    [("validate", 0, {"backend": "krylov", "eigenbasis": None}), ("assemble", 63, None)],
     ids=["krylov", "no-calculus"],
 )
 def test_metadata_without_an_eigenbasis(tmp_path, monkeypatch, command, dense_max, expected):
