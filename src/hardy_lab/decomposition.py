@@ -291,6 +291,8 @@ def _tents(
     s_h = cone_integrate(SpaceTimeField(u, grid, times), ConeSpec(1.0))
     labels = np.full(u.shape, -1)
     s = s_h.values.real
+    if not np.isfinite(s).all():
+        raise semigroup.ConvergenceError("square function S_h f is not finite")
     smax = float(s.max())
     if smax == 0.0:
         if lp_norm(v, grid, 2) > 0:

@@ -53,12 +53,15 @@ class SpaceTimeField:
 
 def cone_integrate(F: SpaceTimeField, cone: ConeSpec) -> ScalarField:
     """Discrete cone integral of |F|^2 against dy dt/t^{n+1}, square-rooted;
-    the open cone |x - y| < alpha t is the closed ball at the float below."""
+    the open cone |x - y| < alpha t is the closed ball at the float below.
+    An |F|^2 past the float range gives inf or NaN values, for the caller's
+    finiteness check."""
     grid = F.grid
     ts = F.times.samples
-    (sums,) = _ball_sums(grid, np.nextafter(cone.aperture * ts, 0), np.abs(F.values) ** 2)
     weights = F.times.log_weights * grid.cell_volume / ts**grid.dim
-    return ScalarField(np.sqrt(np.maximum(sums @ weights, 0.0)), grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (sums,) = _ball_sums(grid, np.nextafter(cone.aperture * ts, 0), np.abs(F.values) ** 2)
+        return ScalarField(np.sqrt(np.maximum(sums @ weights, 0.0)), grid)
 
 
 def _profile(f: ScalarField, op: DiscreteOperator, kind: str, K: int, times: TimeGrid) -> np.ndarray:

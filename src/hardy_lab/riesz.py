@@ -1,8 +1,8 @@
 """The Riesz transform grad L^{-1/2}, its boundedness experiments, and the
 measured off-diagonal decay of operator families.
 
-L^{-1/2} is served by the functional calculus (`DenseCalculus.inv_sqrt`);
-a Krylov-served operator refuses it with ConvergenceError.
+L^{-1/2} is the spectral base's symbol z^{-1/2} (`inv_sqrt`); a
+Krylov-served operator refuses it with ConvergenceError.
 
 Off-diagonal decay is one measurement, `_decay_norms`: the L^2(F) norm of
 T_t (I - e^{-tL})^M f at each time t, f the L^2-normalized indicator of E,

@@ -7,15 +7,15 @@ L and keep the eigenbasis if a certified bound on its error in
 reconstructing a full matrix exponential is below 1e-10 (`DenseCalculus`,
 `_reconstruction_error`); above that size, or when the check fails, use
 sparse exponential actions and direct sparse solves (`KrylovCalculus`).
-The two are peers over `_Calculus`, which holds what they share, and `eig`
-sees L scaled near 1 by a power of two when ||L||_inf lies outside
-[2^-400, 2^400] (`_build_eigenbasis`).  The size rule picks the solver with
-the backend: `KrylovCalculus` solves resolvents and negative powers by
-sparse LU, `DenseCalculus` reads them off the eigenbasis with one step of
-iterative refinement against L, so a dense command factorizes nothing.  The
-calculus reads L only through the operator: its stencil products in the
-refinement steps, the heat polynomials and the reconstruction check, its
-dense array for `eig`, and its CSR matrix for the sparse routes alone.
+Both are peers over `_Calculus`, and each reports itself by `summary()`.
+The symbols of L live in `_Spectral`, into which a transform plugs its
+`_apply_vals`: `DenseCalculus` is the eigenbasis, where `eig` sees L scaled
+near 1 by a power of two outside 2^-400 <= ||L||_inf <= 2^400.  The size
+rule picks the solver too: `KrylovCalculus` solves resolvents and negative
+powers by sparse LU, the symbols with one refinement step against L, so a
+dense command factorizes nothing.  L is read only through the operator:
+stencil products in the refinement steps, the heat polynomials and the
+reconstruction check, a dense array for `eig`, a CSR matrix for Krylov.
 `scipy.linalg` (for `eig`), `scipy.sparse` (for the CSR L) and
 `scipy.sparse.linalg` (for LU and Krylov actions) are imported on first
 use: a command served by a cached eigenbasis loads none of them.
@@ -33,7 +33,7 @@ nothing is kept.  The directory is held under CACHE_MAX_BYTES by
 deleting the least recently used entries.  A basis that fails its check
 is not kept; `spectrum` reads its eigenvalues off the Krylov fallback.
 
-Functions of sqrt(L) are evaluated on the eigenbasis only.  L^{1/2} and
+Functions of sqrt(L) are symbols of the spectral base only.  L^{1/2} and
 L^{-1/2} are the principal z^{1/2} and z^{-1/2} on the eigenvalues, the
 latter 0 on the kernel.  The Poisson semigroup still goes through the
 subordination formula
@@ -187,17 +187,17 @@ _SYMMETRIC_ORDERING = "MMD_AT_PLUS_A"
 
 
 class _Calculus:
-    """What both calculi share.  Each takes a vector or an (N, B) block v,
-    and the time or shift s of `heat`, `heat_poly` and `resolvent` may be
-    a 1-D array: with a vector, one column per time; with a block, column
-    j at s[j]."""
+    """What every calculus shares: L, and its eigenvalues w, kernel pinned,
+    when given.  Each takes a vector or an (N, B) block v, and the time or
+    shift s of `heat`, `heat_poly` and `resolvent` may be a 1-D array: with
+    a vector, one column per time; with a block, column j at s[j]."""
 
     def __init__(self, op: DiscreteOperator, w: np.ndarray | None = None):
         # a shallow twin sharing op's stencil and neighbour table, not op
         # itself, so the weakly keyed cache can drop op
         self.op = copy.copy(op)
-        self.kernel_dim, self.n, self.w = op.kernel_dim, op.n, w
-        self._lu: dict = {}
+        self.kernel_dim, self.n, self._lu = op.kernel_dim, op.n, {}
+        self.w, self.kernel_mask = (None, None) if w is None else _pin_kernel(w, op.kernel_dim)
 
     def heat_batch(self, times: np.ndarray, v: np.ndarray) -> np.ndarray:
         """`heat` at an array of times, under the name `perfbench` counts
@@ -220,10 +220,11 @@ class _Calculus:
 
     def _checked_resolvent(self, s, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out, unless the residual of a column j against (I + s_j L) out_j
-        = v_j exceeds 1e-10 of the norm of v_j."""
-        resid = np.linalg.norm(out + s * self.op.apply(out) - v, axis=0)
+        = v_j exceeds 1e-10 of the norm of v_j or leaves the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = np.linalg.norm(out + s * self.op.apply(out) - v, axis=0)
         worst = np.max(resid / np.maximum(np.linalg.norm(v, axis=0), 1e-300))
-        if worst > 1e-10:
+        if not worst <= 1e-10:
             raise ConvergenceError(f"resolvent solve residual {worst:.2e} exceeds 1e-10")
         return out
 
@@ -276,6 +277,9 @@ class KrylovCalculus(_Calculus):
 
     sqrt = inv_sqrt = poisson
 
+    def summary(self) -> dict:
+        return {"backend": "krylov", "eigenbasis": None if self.w is None else "failed"}
+
     def resolvent(self, s, v: np.ndarray) -> np.ndarray:
         """(I + sL)^{-1} v by sparse direct solve, residual-checked."""
         if np.ndim(s):
@@ -309,67 +313,13 @@ class KrylovCalculus(_Calculus):
         return v
 
 
-class DenseCalculus(_Calculus):
-    """Functional calculus from one eigendecomposition L = V diag(w) V^{-1}.
-
-    The eigenbasis comes from the on-disk cache when an entry for L exists
-    and passes the check, and from `scipy.linalg.eig` otherwise, in which
-    case it is stored after passing (see the module docstring).  Either
-    way construction raises ConvergenceError unless the eigenbasis
-    reconstructs e^{-t0 L} to 1e-10 in the relative Frobenius norm, as
-    certified by an upper bound on that error from the residuals
-    L V - V W and V V^{-1} - I (`_reconstruction_error`), so every
-    instance has passed the check in its own process; the error carries
-    the built eigenvalues, kernel pinned, as `w`.  `source` says
-    where the basis came from ("built" or "cache"), next to
-    `reconstruction_error` (that bound) and `cache_key`.  V, V^{-1} and w
-    are the only N x N state.  Functions of L are evaluated on the
-    eigenvalues, and so are resolvents and negative powers, each followed
-    by one refinement step against L that keeps it as accurate
-    as an LU solve (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 2002, ch. 12).  An array s gives the symbols a
-    column per time, np.multiply.outer(w, s), paired with a block's.
-    """
-
-    # an adjoint holds transposed views of V and V^{-1} and conjugates
-    # every input and output (see `adjoint`)
-    _conj = False
-
-    def __init__(self, op: DiscreteOperator):
-        super().__init__(op)
-        self.cache_key = _cache_key(op)
-        root = _cache_dir()
-        path = None if root is None else root / f"{self.cache_key}.eig"
-        basis = _load_eigenbasis(path, op.n)
-        err = math.inf if basis is None else _reconstruction_error(op, *basis)
-        self.source = "cache"
-        if not err < 1e-10:
-            basis = None  # release a failed entry before eig allocates
-            basis = _build_eigenbasis(op)
-            err = _reconstruction_error(op, *basis)
-            if not err < 1e-10:
-                exc = ConvergenceError(f"eigenbasis reconstruction error {err:.2e} exceeds 1e-10")
-                exc.w = _pin_kernel(basis[0], op.kernel_dim)[0]
-                raise exc
-            self.source = "built"
-            _store_eigenbasis(path, basis)
-        self.reconstruction_error = err
-        w, self.v, self.vinv = basis
-        self.w, self.kernel_mask = _pin_kernel(w, op.kernel_dim)
-
-    def _apply_vals(
-        self, vals: np.ndarray, f: np.ndarray, rows: np.ndarray | slice = slice(None)
-    ) -> np.ndarray:
-        """V[rows] (vals * V^{-1} f): vals of shape (N,) with a vector or a
-        block f, of shape (N, T) with a vector f, or of shape (N, B) with an
-        (N, B) block f, column by column; every row by default."""
-        c = self.vinv @ (f.conj() if self._conj else f)
-        if vals.ndim < c.ndim:
-            vals = vals[:, None]
-        elif c.ndim < vals.ndim:
-            c = c[:, None]
-        out = self.v[rows] @ ((vals.conj() if self._conj else vals) * c)
-        return out.conj() if self._conj else out
+class _Spectral(_Calculus):
+    """Functions of L as symbols on its eigenvalues w, kernel pinned.  A
+    transform supplies `_apply_vals`, which applies a symbol table in its
+    own basis (see `DenseCalculus`), and `summary`.  An array s gives the
+    symbols a column per time, np.multiply.outer(w, s), paired with a
+    block's.  Resolvents and negative powers are refined once against L
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 12)."""
 
     def heat(self, s, v: np.ndarray) -> np.ndarray:
         if np.ndim(s) == 0 and s == 0:
@@ -447,6 +397,71 @@ class DenseCalculus(_Calculus):
     def _inverse_off_kernel(self, vals: np.ndarray) -> np.ndarray:
         """1 / vals off the kernel, 0 on it."""
         return np.where(self.kernel_mask, 0.0, 1.0 / np.where(self.kernel_mask, 1.0, vals))
+
+
+class DenseCalculus(_Spectral):
+    """The spectral calculus on one eigendecomposition L = V diag(w) V^{-1}.
+
+    The eigenbasis comes from the on-disk cache when an entry for L exists
+    and passes the check, and from `scipy.linalg.eig` otherwise, in which
+    case it is stored after passing (see the module docstring).  Either
+    way construction raises ConvergenceError unless the eigenbasis
+    reconstructs e^{-t0 L} to 1e-10 in the relative Frobenius norm, as
+    certified by an upper bound on that error from the residuals
+    L V - V W and V V^{-1} - I (`_reconstruction_error`), so every
+    instance has passed the check in its own process; the error carries
+    the built eigenvalues as `w`.  `source` says where the basis came from
+    ("built" or "cache"), next to `reconstruction_error` (that bound) and
+    `cache_key`; `summary` reports the three.  V, V^{-1} and w are the only
+    N x N state.
+    """
+
+    # an adjoint holds transposed views of V and V^{-1} and conjugates
+    # every input and output (see `adjoint`)
+    _conj = False
+
+    def __init__(self, op: DiscreteOperator):
+        self.cache_key = _cache_key(op)
+        root = _cache_dir()
+        path = None if root is None else root / f"{self.cache_key}.eig"
+        basis = _load_eigenbasis(path, op.n)
+        err = math.inf if basis is None else _reconstruction_error(op, *basis)
+        self.source = "cache"
+        if not err < 1e-10:
+            basis = None  # release a failed entry before eig allocates
+            basis = _build_eigenbasis(op)
+            err = _reconstruction_error(op, *basis)
+            if not err < 1e-10:
+                exc = ConvergenceError(f"eigenbasis reconstruction error {err:.2e} exceeds 1e-10")
+                exc.w = basis[0]
+                raise exc
+            self.source = "built"
+            _store_eigenbasis(path, basis)
+        self.reconstruction_error = err
+        w, self.v, self.vinv = basis
+        super().__init__(op, w)
+
+    def _apply_vals(
+        self, vals: np.ndarray, f: np.ndarray, rows: np.ndarray | slice = slice(None)
+    ) -> np.ndarray:
+        """V[rows] (vals * V^{-1} f): vals of shape (N,) with a vector or a
+        block f, of shape (N, T) with a vector f, or of shape (N, B) with an
+        (N, B) block f, column by column; every row by default."""
+        c = self.vinv @ (f.conj() if self._conj else f)
+        if vals.ndim < c.ndim:
+            vals = vals[:, None]
+        elif c.ndim < vals.ndim:
+            c = c[:, None]
+        out = self.v[rows] @ ((vals.conj() if self._conj else vals) * c)
+        return out.conj() if self._conj else out
+
+    def summary(self) -> dict:
+        return {
+            "backend": "dense",
+            "eigenbasis": self.source,
+            "reconstruction_error": self.reconstruction_error,
+            "cache_key": self.cache_key,
+        }
 
     def adjoint(self) -> "DenseCalculus":
         """The calculus of L* = V^{-H} diag(conj w) V^H, from this eigenbasis.
@@ -666,20 +681,12 @@ def calculus(op: DiscreteOperator) -> _Calculus:
 
 
 def calculus_summary(op: DiscreteOperator) -> dict | None:
-    """The backend serving op and its eigenbasis: the source, check error
-    and cache key of a dense one, "failed" or None (none built) under
-    Krylov; None if no calculus was built for op."""
+    """The `summary` of the calculus serving op: its backend and its
+    eigenbasis, the source, check error and cache key of a dense one,
+    "failed" or None (none built) under Krylov; None if no calculus was
+    built for op."""
     calc = _CALCULI.get(op)
-    if calc is None:
-        return None
-    if not isinstance(calc, DenseCalculus):
-        return {"backend": "krylov", "eigenbasis": None if calc.w is None else "failed"}
-    return {
-        "backend": "dense",
-        "eigenbasis": calc.source,
-        "reconstruction_error": calc.reconstruction_error,
-        "cache_key": calc.cache_key,
-    }
+    return None if calc is None else calc.summary()
 
 
 def spectrum(op: DiscreteOperator) -> np.ndarray | None:

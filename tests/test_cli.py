@@ -402,6 +402,19 @@ def test_huge_finite_stencil_is_checked_without_a_warning(tmp_path):
     assert norm / 2 <= np.abs(spectrum_csv(reports)).max() <= 2 * norm
 
 
+@pytest.mark.parametrize("command", ["decompose", "equivalence", "functional", "bmo", "carleson"])
+def test_huge_finite_stencil_fails_to_converge_in_one_line(tmp_path, command):
+    # ||L|| ~ 1e203: the full-row heat profiles carry roundoff times t^2 rho
+    # past 1e154, whose squares overflow, and the resolvent's refinement
+    # step overflows in L; each is a non-convergence, without numpy warnings
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"grid": {"sizes": [16]}, "coefficients": {"kind": "random", "Lam": 1e200}}))
+    code, err = run_cli(tmp_path, command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == cli.EXIT_NONCONVERGENCE
+    assert len(err.splitlines()) == 1 and err.startswith("non-convergence: "), err
+    assert "Traceback" not in err and "Warning" not in err
+
+
 def test_tiny_stencil_spectrum_is_the_scaled_identity_spectrum(tmp_path):
     # A = 1e-300 I exactly, so L is 1e-300 times the identity-coefficient L:
     # eig runs on L scaled near 1, and no eigenvalue but the kernel's is

@@ -1,12 +1,15 @@
-"""A third calculus, for constant coefficients on a torus, where the DFT
-diagonalizes L exactly (Davis, Circulant Matrices, 1979).
+"""A second transform for the spectral base, for constant coefficients on
+a torus, where the DFT diagonalizes L exactly (Davis, Circulant Matrices,
+1979).
 
-`FourierCalculus` overrides only the eigenbasis hooks of `DenseCalculus`:
-its constructor, `_apply_vals` and `adjoint`.  Every symbol method runs
-unchanged on top of them, so it checks the seam between the shared base
-and the eigenbasis calculus, and it gives `KrylovCalculus` and the command
-paths an exact reference at 64x64, past the size any eigenbasis is built
-at.
+`FourierCalculus` plugs into `semigroup._Spectral` beside the eigenbasis
+`DenseCalculus`, a peer and not a subclass: it supplies its eigenvalues
+to the base's constructor, `_apply_vals` and `summary`, and keeps the
+base's adjoint, whose symbol conj w on the same modes is that of L^H.
+Every symbol method runs unchanged on top of them, so it checks the seam
+between the spectral base and its transforms, and it gives
+`KrylovCalculus` and the command paths an exact reference at 64x64, past
+the size any eigenbasis is built at.
 """
 
 import json
@@ -19,19 +22,17 @@ from conftest import mean_zero_field
 from test_semigroup import PARITY, SQRT_FUNCTIONS
 
 
-class FourierCalculus(semigroup.DenseCalculus):
+class FourierCalculus(semigroup._Spectral):
     """The calculus of L = -div(A grad), A constant, on a periodic grid.  Its
     eigenvalues are the symbol sum_ab A_ab conj(g_a) g_b, with
     g_b = (e^{i theta_b} - 1)/h, on the DFT modes."""
 
     def __init__(self, op, A):
-        semigroup._Calculus.__init__(self, op)
-        self.source, self.reconstruction_error, self.cache_key = "fourier", 0.0, None
         thetas = np.meshgrid(*(2 * np.pi * np.fft.fftfreq(n) for n in op.grid.sizes), indexing="ij")
         g = [(np.exp(1j * th) - 1) / op.grid.spacing for th in thetas]
         d = op.grid.dim
         lam = sum(A[a, b] * np.conj(g[a]) * g[b] for a in range(d) for b in range(d))
-        self.w, self.kernel_mask = semigroup._pin_kernel(lam.ravel(), op.kernel_dim)
+        super().__init__(op, lam.ravel())
 
     def _apply_vals(self, vals, f, rows=slice(None)):
         shape, axes = self.op.grid.sizes, tuple(range(self.op.grid.dim))
@@ -43,8 +44,8 @@ class FourierCalculus(semigroup.DenseCalculus):
         prod = vals * c
         return np.fft.ifftn(prod.reshape(shape + prod.shape[1:]), axes=axes).reshape(prod.shape)[rows]
 
-    # the symbol of L^H is conj w on the same modes: the base's adjoint
-    adjoint = semigroup._Calculus.adjoint
+    def summary(self):
+        return {"backend": "fourier"}
 
 
 COMPLEX_A = np.array([[1 + 0.3j, 0.4 - 0.2j], [-0.1 + 0.5j, 1.5 - 0.4j]])
@@ -151,8 +152,7 @@ def write_constant_config(tmp_path, n, A):
 def run_through_fourier(monkeypatch, command, cfg, out, A):
     monkeypatch.setattr(semigroup, "_choose_calculus", lambda op: FourierCalculus(op, A))
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
-    calc = json.loads((out / "run_metadata.json").read_text())["calculus"]
-    assert calc["backend"] == "dense" and calc["eigenbasis"] == "fourier"
+    assert json.loads((out / "run_metadata.json").read_text())["calculus"] == {"backend": "fourier"}
 
 
 @pytest.mark.parametrize("name", sorted(COEFFICIENTS))
@@ -175,3 +175,15 @@ def test_commands_run_through_fourier_at_64(tmp_path, monkeypatch, command):
     run_through_fourier(monkeypatch, command, cfg, tmp_path / "out", COMPLEX_A)
     numbers = report_numbers(tmp_path / "out")
     assert numbers and all(np.isfinite(v).all() for v in numbers.values())
+
+
+def test_fourier_is_a_peer_of_the_eigenbasis(tmp_path, monkeypatch):
+    assert semigroup.DenseCalculus not in FourierCalculus.__mro__
+
+    def no_eigenbasis(*args):
+        raise AssertionError("the FFT transform builds and loads no eigenbasis")
+
+    monkeypatch.setattr(semigroup, "_build_eigenbasis", no_eigenbasis)
+    monkeypatch.setattr(semigroup, "_load_eigenbasis", no_eigenbasis)
+    cfg = write_constant_config(tmp_path, 16, COMPLEX_A)
+    run_through_fourier(monkeypatch, "riesz", cfg, tmp_path / "out", COMPLEX_A)
